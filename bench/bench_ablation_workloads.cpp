@@ -41,13 +41,15 @@ int main() {
       wl.conns_per_client = scale.conns_per_client;
       wl.sizes = d.dist;
 
-      double avg = 0, p99 = 0;
+      double avg = 0;
+      stats::FctRecorder pooled;
       for (int seed = 0; seed < scale.seeds; ++seed) {
         cfg.seed = static_cast<std::uint64_t>(seed) * 7919 + 1;
         auto r = harness::run_fct_experiment(cfg, wl);
         avg += r.avg_fct_s / scale.seeds;
-        p99 += r.p99_fct_s / scale.seeds;
+        pooled.merge(*r.fct);
       }
+      const double p99 = pooled.all().percentile(99);
       table.add_row({d.label, harness::scheme_name(s), stats::Table::fmt(avg),
                      stats::Table::fmt(p99)});
       std::printf(".");

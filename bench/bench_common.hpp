@@ -50,7 +50,8 @@ struct SweepResult {
   std::uint64_t drops{0};             ///< summed over seeds
   std::uint64_t events{0};            ///< simulator events, summed over seeds
   std::uint64_t queue_hwm{0};         ///< event-queue high water, max over seeds
-  std::shared_ptr<stats::FctRecorder> fct;  ///< from the last seed
+  /// Every seed's FCT samples, pooled; p99_fct_s is taken from these.
+  std::shared_ptr<stats::FctRecorder> fct;
   /// Registry snapshot from the last seed (only when the hub is enabled).
   telemetry::MetricsSnapshot metrics;
 };
@@ -234,18 +235,20 @@ class Artifact {
   }
   /// Opt out of the blended `engine.events_per_sec` values row (the JSON
   /// `engine` section keeps it either way). For benches whose phases are
-  /// gated on env knobs (bench_scale's CLOVE_SHARDS k=16 arm, CLOVE_HYBRID
-  /// A/B arm) the blend mixes different work per CI matrix leg, so no one
-  /// committed floor fits every leg — their per-phase *_per_sec rows carry
-  /// the throughput guard instead.
+  /// gated on env knobs (bench_scale's CLOVE_HYBRID A/B arm) the blend
+  /// mixes different work per CI matrix leg, so no one committed floor fits
+  /// every leg — their per-phase *_per_sec rows carry the throughput guard
+  /// instead.
   void set_mirror_engine_rate(bool on) { mirror_engine_rate_ = on; }
   /// The bench's session profiler, or null when CLOVE_PROF=off.
   [[nodiscard]] prof::Profiler* profiler() { return prof_session_.profiler(); }
 };
 
-/// Run one (scheme, load) point averaged over `seeds` seeds, without
-/// recording it anywhere. Pure with respect to process state (each seed is a
-/// self-contained simulation), so points may run concurrently.
+/// Run one (scheme, load) point over `seeds` seeds, without recording it
+/// anywhere. Averages are means of the per-seed averages; the p99 is taken
+/// from every seed's FCT samples pooled. Pure with respect to process state
+/// (each seed is a self-contained simulation), so points may run
+/// concurrently.
 inline SweepResult compute_point(harness::ExperimentConfig cfg, double load,
                                  const harness::BenchScale& scale) {
   workload::ClientServerConfig wl;
@@ -254,13 +257,13 @@ inline SweepResult compute_point(harness::ExperimentConfig cfg, double load,
   wl.conns_per_client = scale.conns_per_client;
 
   SweepResult out;
+  out.fct = std::make_shared<stats::FctRecorder>();
   for (int s = 0; s < scale.seeds; ++s) {
     cfg.seed = static_cast<std::uint64_t>(s) * 7919 + 1;
     auto r = harness::run_fct_experiment(cfg, wl);
     out.avg_fct_s += r.avg_fct_s / scale.seeds;
     out.mice_avg_fct_s += r.mice_avg_fct_s / scale.seeds;
     out.elephant_avg_fct_s += r.elephant_avg_fct_s / scale.seeds;
-    out.p99_fct_s += r.p99_fct_s / scale.seeds;
     out.jobs += r.jobs;
     out.timeouts += r.timeouts;
     out.fast_retransmits += r.fast_retransmits;
@@ -268,9 +271,10 @@ inline SweepResult compute_point(harness::ExperimentConfig cfg, double load,
     out.drops += r.drops;
     out.events += r.events;
     if (r.queue_hwm > out.queue_hwm) out.queue_hwm = r.queue_hwm;
-    out.fct = r.fct;
+    out.fct->merge(*r.fct);
     out.metrics = std::move(r.metrics);
   }
+  out.p99_fct_s = out.fct->all().percentile(99);
   return out;
 }
 

@@ -29,12 +29,10 @@
 #include <vector>
 
 #include "bench_common.hpp"
-#include "harness/shard_runner.hpp"
 #include "hybrid/hybrid.hpp"
 #include "lb/ecmp.hpp"
 #include "net/fat_tree.hpp"
 #include "net/packet_pool.hpp"
-#include "net/shard.hpp"
 #include "net/topology.hpp"
 #include "overlay/hypervisor.hpp"
 #include "overlay/paths.hpp"
@@ -137,109 +135,6 @@ struct Fabric {
     hosts = static_cast<int>(driver.sources.size());
     driver.batch = batch_from_env();
     for (int r = 0; r < 8; ++r) driver.run_round(sim);  // warm pools/tables
-  }
-};
-
-/// The same fabric and traffic over the sharded engine (DESIGN.md §11):
-/// per-pod event shards advanced in conservative lookahead windows by a
-/// harness::ShardRunner. Construction decides attribution — a runner built
-/// while the session profiler is installed profiles each shard separately
-/// and deposits the per-shard copies (plus the kShardSync barrier-wait
-/// share) into the session profile when destroyed.
-struct ShardedFabric {
-  sim::Simulator sim;
-  net::ShardDomain dom;
-  net::Topology topo{sim};
-  TrafficDriver driver;
-  std::vector<std::vector<std::pair<net::Node*, net::Node*>>> pairs_by_shard_;
-  std::unique_ptr<harness::ShardRunner> runner;
-  int hosts{0};
-
-  ShardedFabric(int k, int shards, unsigned threads = 0)
-      : dom(sim, shards, /*seed=*/1) {
-    topo.set_shard_domain(&dom);
-    net::FatTreeConfig cfg;
-    cfg.k = k;
-    net::FatTree ft = net::build_fat_tree(
-        topo, cfg, [](net::Topology& t, const std::string& name, int /*pod*/) {
-          return t.add_host<SinkHost>(name);
-        });
-    const int pods = ft.n_pods();
-    for (int pod = 0; pod < pods; ++pod) {
-      const auto& hs = ft.hosts_by_pod[static_cast<std::size_t>(pod)];
-      const auto& peers =
-          ft.hosts_by_pod[static_cast<std::size_t>((pod + pods / 2) % pods)];
-      for (std::size_t i = 0; i < hs.size(); ++i) {
-        driver.sources.push_back(hs[i]);
-        driver.dests.push_back(peers[i % peers.size()]);
-      }
-    }
-    hosts = static_cast<int>(driver.sources.size());
-    driver.batch = batch_from_env();
-    pairs_by_shard_.resize(static_cast<std::size_t>(dom.shard_count()));
-    for (std::size_t i = 0; i < driver.sources.size(); ++i) {
-      const int s = topo.shard_of(driver.sources[i]);
-      pairs_by_shard_[static_cast<std::size_t>(s)].push_back(
-          {driver.sources[i], driver.dests[i]});
-    }
-    runner = std::make_unique<harness::ShardRunner>(dom, threads);
-    for (int r = 0; r < 8; ++r) run_round();  // warm pools/tables
-  }
-
-  /// Same injection pattern as TrafficDriver::run_round, pre-scheduled as
-  /// one event per shard (one tick past every shard clock so no shard sees
-  /// an event in its past — injecting inline like the serial driver would
-  /// enqueue at divergent shard-local clocks), then drained through the
-  /// window loop.
-  std::uint64_t run_round() {
-    sim::Time t = 0;
-    for (int s = 0; s < dom.shard_count(); ++s) {
-      t = std::max(t, dom.sim(s).now());
-    }
-    t += 1;
-    std::uint64_t injected = 0;
-    const std::uint32_t pc = driver.port_cycle;
-    const int batch = driver.batch;
-    for (int s = 0; s < dom.shard_count(); ++s) {
-      const auto& pairs = pairs_by_shard_[static_cast<std::size_t>(s)];
-      if (pairs.empty()) continue;
-      sim::Simulator& ssim = dom.sim(s);
-      injected += pairs.size() * static_cast<std::uint64_t>(batch);
-      ssim.schedule_at(t, [&pairs, pc, batch, &ssim] {
-        for (const auto& [src, dst] : pairs) {
-          for (int b = 0; b < batch; ++b) {
-            auto pkt = net::make_packet(ssim);
-            pkt->inner = net::FiveTuple{
-                src->ip(), dst->ip(),
-                static_cast<std::uint16_t>(
-                    overlay::kEphemeralBase +
-                    ((pc + static_cast<std::uint32_t>(b)) & 1023u)),
-                7471, net::Proto::kStt};
-            pkt->payload = 1460;
-            pkt->ttl = 64;
-            src->port(0)->enqueue(std::move(pkt));
-          }
-        }
-      });
-    }
-    driver.port_cycle += 7;
-    runner->run(sim::kTimeNever);  // drain every shard, like sim.run()
-    return injected;
-  }
-
-  [[nodiscard]] std::uint64_t events_processed() {
-    std::uint64_t e = 0;
-    for (int s = 0; s < dom.shard_count(); ++s) {
-      e += dom.sim(s).events_processed();
-    }
-    return e;
-  }
-  [[nodiscard]] std::size_t queue_high_water() {
-    std::size_t q = 0;
-    for (int s = 0; s < dom.shard_count(); ++s) {
-      q = std::max(q, dom.sim(s).queue_high_water());
-    }
-    return q;
   }
 };
 
@@ -376,8 +271,8 @@ int main() {
   bench::Artifact artifact("BENCH_scale",
                            "engine scaling ceiling (k=4 vs k=8 fat-tree)",
                            scale);
-  // The CLOVE_SHARDS / CLOVE_HYBRID gated phases make the blended process
-  // rate leg-dependent in CI's matrix; the per-topology scale_k*.events_per_sec
+  // The CLOVE_HYBRID gated phase makes the blended process rate
+  // leg-dependent in CI's matrix; the per-topology scale_k*.events_per_sec
   // rows are the throughput guard for this bench.
   artifact.set_mirror_engine_rate(false);
   telemetry::hub().set_enabled(false);
@@ -432,137 +327,8 @@ int main() {
     }
   }
 
-  // Sharded engine arms (DESIGN.md §11): two same-run A/B comparisons
-  // against the serial k=8 fabric. CLOVE_SHARDS=1 must price at parity —
-  // below two shards the fabric is built without channels and the runner
-  // degenerates to one inline Simulator::run, so the overhead ratio sits
-  // at ~1.0. The CLOVE_SHARDS=4 arm records the honest wall-clock speedup
-  // for identical round counts: on a single-core host the windowing
-  // overhead puts it below 1.0 and the committed floor tracks that
-  // machine; multi-core runners clear it with headroom (EXPERIMENTS.md
-  // E-shard records the core-count dependence).
-  {
-    prof::InstallGuard unprofiled(nullptr);
-    const int ratio_rounds = rounds / 2 > 0 ? rounds / 2 : 1;
-    struct ArmTimes {
-      double wall_serial{0.0};
-      double wall_shard{0.0};
-      std::uint64_t ev_serial{0};
-      std::uint64_t ev_shard{0};
-    };
-    auto interleave = [&](ShardedFabric& sf) {
-      ArmTimes at;
-      for (int r = 0; r < ratio_rounds; ++r) {
-        {
-          const std::uint64_t e0 = k8->sim.events_processed();
-          const auto t0 = std::chrono::steady_clock::now();
-          k8->driver.run_round(k8->sim);
-          const auto t1 = std::chrono::steady_clock::now();
-          at.wall_serial += std::chrono::duration<double>(t1 - t0).count();
-          at.ev_serial += k8->sim.events_processed() - e0;
-        }
-        {
-          const std::uint64_t e0 = sf.events_processed();
-          const auto t0 = std::chrono::steady_clock::now();
-          sf.run_round();
-          const auto t1 = std::chrono::steady_clock::now();
-          at.wall_shard += std::chrono::duration<double>(t1 - t0).count();
-          at.ev_shard += sf.events_processed() - e0;
-        }
-      }
-      return at;
-    };
-
-    {
-      ShardedFabric s1(8, /*shards=*/1);
-      const ArmTimes a = interleave(s1);
-      const double ratio = (static_cast<double>(a.ev_shard) / a.wall_shard) /
-                           (static_cast<double>(a.ev_serial) / a.wall_serial);
-      std::printf("\nscale.shard1_overhead_ratio %.4f  "
-                  "(interleaved; 1.0 = CLOVE_SHARDS=1 is free)\n",
-                  ratio);
-      if (bench::Artifact* a2 = bench::Artifact::current()) {
-        a2->add_value("scale.shard1_overhead_ratio", ratio);
-      }
-    }
-    {
-      ShardedFabric s4(8, /*shards=*/4);
-      const ArmTimes a = interleave(s4);
-      const double speedup = a.wall_serial / a.wall_shard;
-      std::printf("scale.k8_shard4_speedup_ratio %.4f  "
-                  "(interleaved wall-clock, %d shards x %u workers, "
-                  "%llu windows; >1 = sharding wins on this machine)\n",
-                  speedup, s4.runner->shard_count(), s4.runner->workers(),
-                  static_cast<unsigned long long>(s4.runner->windows()));
-      if (bench::Artifact* a2 = bench::Artifact::current()) {
-        a2->add_value("scale.k8_shard4_speedup_ratio", speedup);
-      }
-
-      // Per-shard event counts and load balance. The pod partition should
-      // keep every shard near the mean; the committed balance floor
-      // (mean/max, 1.0 = perfectly even) catches a partition regression
-      // that would serialize the conservative windows behind one hot shard.
-      std::uint64_t sum = 0, max_e = 0;
-      for (int s = 0; s < s4.dom.shard_count(); ++s) {
-        const std::uint64_t e = s4.dom.sim(s).events_processed();
-        sum += e;
-        max_e = std::max(max_e, e);
-      }
-      const double mean_e = static_cast<double>(sum) /
-                            static_cast<double>(s4.dom.shard_count());
-      for (int s = 0; s < s4.dom.shard_count(); ++s) {
-        const std::uint64_t e = s4.dom.sim(s).events_processed();
-        std::printf("  shard %d: %10llu events  (%.3f of mean)\n", s,
-                    static_cast<unsigned long long>(e),
-                    static_cast<double>(e) / mean_e);
-      }
-      const double balance =
-          max_e > 0 ? mean_e / static_cast<double>(max_e) : 1.0;
-      std::printf("scale.shard4_balance_ratio %.4f  "
-                  "(mean/max per-shard events; imbalance %.3fx)\n",
-                  balance, max_e > 0
-                               ? static_cast<double>(max_e) / mean_e
-                               : 1.0);
-      if (bench::Artifact* a2 = bench::Artifact::current()) {
-        a2->add_value("scale.shard4_balance_ratio", balance);
-      }
-    }
-  }
-
-  // k=16 (1024 hosts, 320 switches) rides only the sharded engine — the
-  // single-run scale the sharding tentpole exists for. Rows appear only
-  // when CLOVE_SHARDS > 1, so the serial CI leg reports them as [skip]
-  // rather than pricing a serial k=16 run it never needed.
-  if (harness::default_shards() > 1) {
-    prof::InstallGuard unprofiled(nullptr);
-    ShardedFabric s16(16, harness::default_shards());
-    const int k16_rounds = rounds / 4 > 0 ? rounds / 4 : 1;
-    const std::uint64_t e0 = s16.events_processed();
-    const auto t0 = std::chrono::steady_clock::now();
-    for (int r = 0; r < k16_rounds; ++r) s16.run_round();
-    const auto t1 = std::chrono::steady_clock::now();
-    const double wall = std::chrono::duration<double>(t1 - t0).count();
-    const std::uint64_t ev = s16.events_processed() - e0;
-    const double eps = static_cast<double>(ev) / wall;
-    const double rss16 = prof::peak_rss_mb();
-    std::printf(
-        "%-9s %4d hosts   %7.3f s wall   %8.2f Mevents/s   "
-        "queue hwm %6zu   peak rss %7.1f MB   (%d shards, %u workers)\n",
-        "scale_k16", s16.hosts, wall, eps / 1e6, s16.queue_high_water(),
-        rss16, s16.runner->shard_count(), s16.runner->workers());
-    if (bench::Artifact* a = bench::Artifact::current()) {
-      a->add_value("scale_k16.hosts", static_cast<double>(s16.hosts));
-      a->add_value("scale_k16.events_per_sec", eps);
-      a->add_value("scale_k16.rss_mb", rss16);
-      a->add_value("scale_k16.queue_hwm",
-                   static_cast<double>(s16.queue_high_water()));
-      a->note_engine(ev, s16.queue_high_water());
-    }
-  }
-
-  // Hybrid flow/packet A/B (DESIGN.md §12), gated on CLOVE_HYBRID=on like
-  // the k=16 rows are on CLOVE_SHARDS: the same k=8 web-search/ECMP TCP
-  // workload runs packet-exact and then with elephant middles promoted to
+  // Hybrid flow/packet A/B (DESIGN.md §12), gated on CLOVE_HYBRID=on: the
+  // same k=8 web-search/ECMP TCP workload runs packet-exact and then with elephant middles promoted to
   // the fluid engine. Same process, same seed, jobs must match exactly;
   // the speedup and mice-FCT-fidelity rows are the tentpole's contract.
   if (hybrid::HybridConfig::from_env().enabled) {
@@ -648,20 +414,6 @@ int main() {
     auto& pool8 = net::PacketPool::of(k8->sim);
     p->note_pool(pool4.allocated(), pool4.reused());
     p->note_pool(pool8.allocated(), pool8.reused());
-
-    // Sharded attribution: this runner is constructed while the session
-    // profiler is installed, so each shard profiles into its own Profiler
-    // and the destructor deposits the per-shard copies — including the
-    // shard_sync barrier-wait share prof_summarize.py reports — into the
-    // artifact's self-profile.
-    {
-      ShardedFabric sf(8, /*shards=*/4);
-      for (int r = 0; r < attrib_rounds; ++r) sf.run_round();
-      std::printf(
-          "\nsharded attribution: %d shards, %u workers, %llu windows\n",
-          sf.runner->shard_count(), sf.runner->workers(),
-          static_cast<unsigned long long>(sf.runner->windows()));
-    }
 
     std::printf("\ntop time sinks (profiled attribution rounds):\n");
     const auto sinks = p->top_sinks();

@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Summarize clove::prof engine self-profiles from bench/run artifacts.
 
-Usage: prof_summarize.py [DIR] [--top N] [--strict] [--max-sync-frac F]
+Usage: prof_summarize.py [DIR] [--top N] [--strict]
 
 Scans DIR (default: .) for the three artifact kinds the engine profiler
 emits (stdlib only — runs in CI before anything is installed):
@@ -14,19 +14,11 @@ emits (stdlib only — runs in CI before anything is installed):
 * ``PROF_*_trace.json`` Chrome trace-event files (chrome://tracing or
   Perfetto) — validated, counted, and pointed at.
 
-Sharded runs (CLOVE_SHARDS > 1) add a per-shard section: each shard's
-events, attributed self time, and its ``shard_sync`` barrier-wait share.
-``--max-sync-frac F`` flags any profile whose aggregate barrier wait
-exceeds F x dispatch self time (default 1.0 — CI passes this generous
-bound so a pathological sync-dominated run fails loudly while single-core
-runners, where waiting equals the work they displaced, stay green).
-
 ``--strict`` turns consistency problems into a non-zero exit for CI:
 no self-profile found at all, a scope whose self time exceeds its total,
 folded lines that do not parse, a trace file that is not a valid
 trace-event JSON, a stack-overflow count > 0 (the profiler ran out of
-frames — attribution is incomplete), or a barrier-wait share over
-``--max-sync-frac``.
+frames — attribution is incomplete).
 
 Exit status: 0 = ok, 1 = --strict violation, 2 = usage error.
 """
@@ -47,7 +39,7 @@ def fmt_ns(ns):
     return f"{ns:.0f} ns"
 
 
-def summarize_profile(tag, sp, top, problems, max_sync_frac=1.0):
+def summarize_profile(tag, sp, top, problems):
     """Print one self_profile section; append strict violations to problems."""
     mode = sp.get("mode", "?")
     overflows = sp.get("stack_overflows", 0)
@@ -87,34 +79,8 @@ def summarize_profile(tag, sp, top, problems, max_sync_frac=1.0):
                   f"{cap:,.0f} slots ({occ:.0f}%)  avg probe "
                   f"{t.get('avg_probe', 0):.2f}  max {t.get('max_probe', 0):.0f}"
                   f"  [{t.get('tables', 0):.0f} table(s)]")
-    shards = sp.get("shards", [])
-    if shards:
-        print(f"  shards ({len(shards)}):")
-        for sh in shards:
-            sh_scopes = {s.get("name"): s for s in sh.get("scopes", [])}
-            sh_self = sum(s.get("self_ns", 0) for s in sh_scopes.values())
-            sh_sync = sh_scopes.get("shard_sync", {}).get("self_ns", 0)
-            sh_disp = sh_scopes.get("dispatch", {}).get("self_ns", 0)
-            share = 100.0 * sh_sync / sh_disp if sh_disp else 0.0
-            print(f"    shard {sh.get('shard', '?'):>3}  "
-                  f"{sh.get('events', 0):>12,.0f} events  "
-                  f"{fmt_ns(sh_self):>10} self  "
-                  f"sync {fmt_ns(sh_sync):>10} ({share:.1f}% of dispatch)")
-    # Barrier-wait bound: shard_sync is pure coordination (spin/yield at
-    # window barriers), so its share of dispatch self time is the sharding
-    # tax. The aggregate over the session-merged scopes covers every shard
-    # and worker.
     by_name = {s.get("name"): s for s in scopes}
-    sync_ns = by_name.get("shard_sync", {}).get("self_ns", 0)
     dispatch_ns = by_name.get("dispatch", {}).get("self_ns", 0)
-    if sync_ns and dispatch_ns:
-        frac = sync_ns / dispatch_ns
-        print(f"  shard_sync barrier wait: {fmt_ns(sync_ns)} = "
-              f"{frac:.2f}x dispatch (bound {max_sync_frac:g})")
-        if frac > max_sync_frac:
-            problems.append(
-                f"{tag}: barrier wait {frac:.2f}x dispatch exceeds "
-                f"--max-sync-frac {max_sync_frac:g}")
     # Hybrid flow/packet engine (CLOVE_HYBRID=on): promotion, the rate
     # solver, and fluid advancement all bill to one scope. Its share of
     # dispatch is the price of skipping the elephants' packet events.
@@ -179,15 +145,6 @@ def main(argv):
             return 2
         top = int(argv[i + 1])
         args = [a for a in args if a != argv[i + 1]]
-    max_sync_frac = 1.0
-    if "--max-sync-frac" in argv:
-        i = argv.index("--max-sync-frac")
-        if i + 1 >= len(argv):
-            print("prof_summarize: --max-sync-frac needs a value",
-                  file=sys.stderr)
-            return 2
-        max_sync_frac = float(argv[i + 1])
-        args = [a for a in args if a != argv[i + 1]]
     if len(args) > 1:
         print(__doc__.strip().splitlines()[2], file=sys.stderr)
         return 2
@@ -214,7 +171,7 @@ def main(argv):
                 if sp is None and "profiled_self_ns" in doc:
                     sp = doc  # a bare self-profile dump
             if sp is not None:
-                summarize_profile(name, sp, top, problems, max_sync_frac)
+                summarize_profile(name, sp, top, problems)
                 profiles += 1
         elif name.startswith("PROF_") and name.endswith(".folded"):
             summarize_folded(path, top, problems)

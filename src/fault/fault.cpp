@@ -4,7 +4,6 @@
 #include <fstream>
 #include <sstream>
 
-#include "net/shard.hpp"
 #include "overlay/hypervisor.hpp"
 #include "sim/logging.hpp"
 #include "telemetry/hub.hpp"
@@ -186,17 +185,9 @@ FaultInjector::FaultInjector(net::Topology& topo, FaultPlan plan)
 
 void FaultInjector::arm() {
   sim::Simulator& sim = topo_.simulator();
-  net::ShardDomain* dom = topo_.shard_domain();
   for (const FaultEvent& ev : plan_.events) {
     const sim::Time at = ev.at > sim.now() ? ev.at : sim.now();
-    if (dom != nullptr) {
-      // A fault touches links/switches across shards, so it must run at a
-      // window boundary with every shard quiesced. Registration order
-      // preserves the serial same-timestamp tiebreak.
-      dom->at_global(at, [this, &ev] { apply(ev); });
-    } else {
-      sim.schedule_at(at, [this, &ev] { apply(ev); });
-    }
+    sim.schedule_at(at, [this, &ev] { apply(ev); });
   }
 }
 
@@ -272,14 +263,6 @@ void FaultInjector::apply(const FaultEvent& ev) {
 
 void FaultInjector::toggle_link(net::Link* l, bool down) {
   if (l == nullptr) return;
-  if (net::ShardDomain* dom = topo_.shard_domain()) {
-    const int shard = dom->shard_of_sim(&l->simulator());
-    if (telemetry::Scope* sc = dom->scope(shard)) {
-      telemetry::ScopeGuard guard(*sc);
-      down ? l->down() : l->up();
-      return;
-    }
-  }
   if (down) {
     l->down();
   } else {
@@ -344,15 +327,7 @@ void FaultInjector::schedule_convergence() {
     ++stats_.route_recomputes;
     if (telemetry::enabled()) recompute_cell_->add();
   };
-  if (net::ShardDomain* dom = topo_.shard_domain()) {
-    // Route recomputes read and write switch tables in every shard, so they
-    // are global actions too. We run at a barrier here with clocks aligned,
-    // so now() + convergence is the same deadline the serial path computes.
-    dom->at_global(topo_.simulator().now() + plan_.route_convergence,
-                   std::move(recompute));
-  } else {
-    topo_.simulator().schedule_in(plan_.route_convergence, std::move(recompute));
-  }
+  topo_.simulator().schedule_in(plan_.route_convergence, std::move(recompute));
 }
 
 }  // namespace clove::fault

@@ -103,9 +103,7 @@ class FaultInjector {
   void apply(const FaultEvent& ev);
   [[nodiscard]] net::Link* resolve_link(const std::string& target);
   void apply_connection(net::Link* fwd, bool down);
-  /// down()/up() under the owning shard's telemetry scope (sharded runs):
-  /// the flush drops must finalize in the flight recorder that actually
-  /// holds the link's journeys. Serial runs toggle directly.
+  /// down() or up() one direction of a connection (null is a no-op).
   void toggle_link(net::Link* l, bool down);
   [[nodiscard]] bool apply_switch(const FaultEvent& ev, bool down);
   [[nodiscard]] bool apply_feedback(const FaultEvent& ev);

@@ -1,5 +1,7 @@
 #include "harness/parallel_runner.hpp"
 
+#include <algorithm>
+#include <atomic>
 #include <cstdlib>
 #include <memory>
 
@@ -20,38 +22,6 @@ ParallelRunner::ParallelRunner(unsigned threads)
     : threads_(threads == 0 ? default_threads() : threads) {}
 
 ParallelRunner::~ParallelRunner() = default;
-
-/// Pool state shared by the workers of one run_all() call. One mutex guards
-/// all deques: tasks are whole simulations, so queue operations are a
-/// vanishing fraction of runtime and per-deque locks would buy nothing.
-struct ParallelRunner::Shared {
-  std::mutex mu;
-  std::vector<std::deque<std::size_t>> queues;  // task indices, per worker
-
-  /// Own queue front first (LIFO locality is irrelevant at this grain, FIFO
-  /// keeps point ordering intuitive), then steal from the back of the
-  /// busiest victim. Returns false when every queue is empty.
-  bool next(std::size_t self, std::size_t& out) {
-    std::lock_guard<std::mutex> lock(mu);
-    if (!queues[self].empty()) {
-      out = queues[self].front();
-      queues[self].pop_front();
-      return true;
-    }
-    std::size_t victim = queues.size();
-    std::size_t best = 0;
-    for (std::size_t w = 0; w < queues.size(); ++w) {
-      if (queues[w].size() > best) {
-        best = queues[w].size();
-        victim = w;
-      }
-    }
-    if (victim == queues.size()) return false;
-    out = queues[victim].back();
-    queues[victim].pop_back();
-    return true;
-  }
-};
 
 void ParallelRunner::run_all(std::vector<Task> tasks) {
   if (tasks.empty()) return;
@@ -87,28 +57,20 @@ void ParallelRunner::run_all(std::vector<Task> tasks) {
     }
   };
 
-  const std::size_t workers =
-      std::min<std::size_t>(threads_, tasks.size());
-  if (workers <= 1) {
-    for (std::size_t i = 0; i < tasks.size(); ++i) run_one(i);
-  } else {
-    Shared shared;
-    shared.queues.resize(workers);
-    for (std::size_t i = 0; i < tasks.size(); ++i) {
-      shared.queues[i % workers].push_back(i);  // round-robin deal
-    }
-    auto worker = [&](std::size_t self) {
-      std::size_t i;
-      while (shared.next(self, i)) run_one(i);
-    };
-    std::vector<std::thread> pool;
-    pool.reserve(workers - 1);
-    for (std::size_t w = 1; w < workers; ++w) {
-      pool.emplace_back(worker, w);
-    }
-    worker(0);  // the calling thread works too
-    for (std::thread& t : pool) t.join();
-  }
+  // Tasks are whole simulations, so one shared counter is all the
+  // scheduling needed: a worker that finishes early simply claims the next
+  // index, which absorbs the per-point runtime variance of a sweep. With
+  // one worker no thread is spawned and tasks run inline in input order.
+  const std::size_t workers = std::min<std::size_t>(threads_, tasks.size());
+  std::atomic<std::size_t> next{0};
+  auto worker = [&] {
+    for (std::size_t i = next++; i < tasks.size(); i = next++) run_one(i);
+  };
+  std::vector<std::thread> pool;
+  pool.reserve(workers - 1);
+  for (std::size_t w = 1; w < workers; ++w) pool.emplace_back(worker);
+  worker();  // the calling thread works too
+  for (std::thread& t : pool) t.join();
 
   if (submitter_prof != nullptr) {
     for (const auto& tp : task_profs) submitter_prof->merge_from(*tp);

@@ -1,11 +1,8 @@
 #pragma once
 
-#include <condition_variable>
 #include <cstddef>
-#include <deque>
 #include <exception>
 #include <functional>
-#include <mutex>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -19,7 +16,7 @@ namespace clove::harness {
 /// parallelism (tasks run inline on the caller, the pre-runner behavior).
 [[nodiscard]] unsigned default_threads();
 
-/// Work-stealing thread pool for embarrassingly parallel sweep points.
+/// Thread pool for embarrassingly parallel sweep points.
 ///
 /// Each sweep point is an independent simulation: its own Simulator, its own
 /// packet pool, and — via telemetry::ScopeGuard — its own telemetry scope, so
@@ -27,12 +24,10 @@ namespace clove::harness {
 /// serial run at equal seeds (per-point RNG seeding and per-simulation packet
 /// uids make thread count invisible to the simulation).
 ///
-/// Scheduling: submitted tasks are dealt round-robin onto per-worker deques;
-/// a worker pops its own deque from the front and steals from victims' backs
-/// when empty. Tasks are coarse (whole simulations, seconds each), so the
-/// single pool mutex is nowhere near contention — stealing exists to absorb
-/// the large per-point runtime variance of a load sweep, not to shave
-/// nanoseconds.
+/// Scheduling: workers claim tasks in input order from one shared atomic
+/// index until it runs past the end. Tasks are coarse (whole simulations,
+/// seconds each), so a worker that draws a short point just claims the next
+/// one — that absorbs the large per-point runtime variance of a load sweep.
 ///
 /// map() delivers results in input order regardless of completion order, so
 /// artifact files and stdout summaries are deterministic too.
@@ -83,8 +78,6 @@ class ParallelRunner {
   }
 
  private:
-  struct Shared;  // the mutex-guarded pool state (defined in the .cpp)
-
   unsigned threads_;
 };
 

@@ -38,17 +38,9 @@ FatTree build_fat_tree(
     return s;
   };
 
-  // Shard partitioning (no-op without a ShardDomain): each pod — hosts,
-  // edge, and aggregation switches — is one unit placed on shard
-  // `pod % shards`, and the (k/2)^2 core switches are dealt round-robin so
-  // every shard carries its share of the core-hop work. Every agg<->core
-  // link then crosses shards (for shards > 1), which is exactly the
-  // boundary the staging channels are built for.
-
   // Core switches: (k/2)^2 of them, indexed (i, j) with i, j in [0, k/2).
   for (int i = 0; i < half; ++i) {
     for (int j = 0; j < half; ++j) {
-      topo.begin_shard(i * half + j);
       net.core.push_back(topo.add_switch(label("C", i, j)));
     }
   }
@@ -58,7 +50,6 @@ FatTree build_fat_tree(
   net.hosts_by_pod.resize(static_cast<std::size_t>(k));
 
   for (int pod = 0; pod < k; ++pod) {
-    topo.begin_shard(pod);
     auto& edges = net.edge_by_pod[static_cast<std::size_t>(pod)];
     auto& aggs = net.agg_by_pod[static_cast<std::size_t>(pod)];
     for (int i = 0; i < half; ++i) {
@@ -89,7 +80,6 @@ FatTree build_fat_tree(
     }
   }
 
-  topo.begin_shard(0);
   topo.compute_routes();
   return net;
 }

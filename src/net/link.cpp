@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "net/node.hpp"
-#include "net/shard.hpp"
 #include "prof/prof.hpp"
 #include "telemetry/hub.hpp"
 #include "telemetry/scope.hpp"
@@ -162,21 +161,12 @@ void Link::on_tx_done() {
     }
   }
 
-  if (channel_ != nullptr) {
-    // Shard-crossing link: park the packet in the staging channel; the
-    // coordinator schedules the delivery on the destination shard at the
-    // next barrier. Conservative windows are bounded by the minimum
-    // cross-shard propagation, so the delivery time is never in a window
-    // that has already run.
-    channel_->stage(sim_.now() + cfg_.propagation, std::move(pkt));
-  } else {
-    propagating_.emplace_back(sim_.now() + cfg_.propagation, std::move(pkt));
-    if (!prop_wake_.valid()) {
-      // A pending wake is always at an earlier-or-equal deadline (per-link
-      // deadlines are monotone), so one outstanding wake per link suffices.
-      prop_wake_ =
-          sim_.schedule_in(cfg_.propagation, [this] { deliver_front(); });
-    }
+  propagating_.emplace_back(sim_.now() + cfg_.propagation, std::move(pkt));
+  if (!prop_wake_.valid()) {
+    // A pending wake is always at an earlier-or-equal deadline (per-link
+    // deadlines are monotone), so one outstanding wake per link suffices.
+    prop_wake_ =
+        sim_.schedule_in(cfg_.propagation, [this] { deliver_front(); });
   }
 
   if (!queue_.empty()) {
@@ -211,25 +201,10 @@ void Link::deliver_front() {
   }
 }
 
-void Link::remote_deliver(PacketPtr pkt, sim::Time now) {
-  CLOVE_PROF_SCOPE(prof::kLinkDeliver);
-  if (down_) {
-    ++stats_.drops_down;
-    if (telemetry::enabled()) cells_.drops_down->add();
-    if (auto* fr = telemetry::flight()) {
-      fr->on_drop(pkt->uid, dst_ != nullptr ? dst_->id() : 0, name_,
-                  telemetry::JourneyOutcome::kDropLinkDown, now);
-    }
-    return;
-  }
-  dst_->receive(std::move(pkt), dst_in_port_);
-}
-
 void Link::down() {
   down_ = true;
   const std::uint64_t flushed =
-      queue_.size() + propagating_.size() + (in_flight_ ? 1 : 0) +
-      (channel_ != nullptr ? channel_->staged_count() : 0);
+      queue_.size() + propagating_.size() + (in_flight_ ? 1 : 0);
   stats_.drops_down += flushed;
   if (telemetry::enabled()) cells_.drops_down->add(flushed);
   if (telemetry::tracing()) {
@@ -256,9 +231,6 @@ void Link::down() {
                   telemetry::JourneyOutcome::kDropLinkDown, sim_.now());
     }
   }
-  // Packets staged for a cross-shard delivery are in this link's pipe too
-  // (they are counted in `flushed` above; the channel records their drops).
-  if (channel_ != nullptr) channel_->flush_down(sim_.now());
   queue_.clear();
   queue_bytes_ = 0;
   propagating_.clear();

@@ -14,7 +14,6 @@
 namespace clove::net {
 
 class Node;
-class ShardChannel;
 
 using LinkId = std::uint32_t;
 
@@ -172,26 +171,6 @@ class Link {
   /// capacity-factor changes). Null clears it.
   void set_fluid_observer(FluidObserver* obs) { fluid_observer_ = obs; }
 
-  // --- sharded simulation (net::ShardDomain) -------------------------------
-
-  /// Mark this link as shard-crossing: finished transmissions are staged
-  /// into `ch` instead of the local propagation pipe, and delivered on the
-  /// destination shard at the next barrier (see shard.hpp). Null restores
-  /// the intra-shard path. Set once at topology build time.
-  void set_channel(ShardChannel* ch) { channel_ = ch; }
-  [[nodiscard]] ShardChannel* channel() const { return channel_; }
-
-  /// The simulator this link's source-side events run on (the fault layer
-  /// uses it to find the owning shard).
-  [[nodiscard]] sim::Simulator& simulator() const { return sim_; }
-
-  /// Deliver a packet that crossed the shard boundary. Runs on the
-  /// DESTINATION shard's thread at simulated time `now` — this link's own
-  /// `sim_` belongs to the source shard and its clock is stale here, so the
-  /// arrival time is passed in. Mirrors deliver_front()'s per-packet body:
-  /// a link that went down while the packet was in the pipe drops it.
-  void remote_deliver(PacketPtr pkt, sim::Time now);
-
  private:
   void start_tx();
   void on_tx_done();
@@ -221,7 +200,6 @@ class Link {
   /// every heap sift in the simulation core.
   util::RingDeque<std::pair<sim::Time, PacketPtr>> propagating_;
   sim::EventId prop_wake_{};       ///< pending deliver_front wake, if any
-  ShardChannel* channel_{nullptr};  ///< non-null iff this link crosses shards
   bool down_{false};
   double capacity_factor_{1.0};    ///< effective-rate scale (fault injection)
   double fault_drop_prob_{0.0};    ///< per-packet silent-drop probability

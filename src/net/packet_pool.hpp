@@ -63,11 +63,6 @@ class PacketPool {
   [[nodiscard]] std::uint64_t reused() const { return reused_; }
   [[nodiscard]] std::size_t free_count() const { return free_.size(); }
 
-  /// Start uid numbering from `base` (next acquire returns base + 1). Sharded
-  /// runs give each shard's pool a disjoint uid range so journeys stay unique
-  /// when packets cross shard boundaries with their uid preserved.
-  void set_uid_base(std::uint64_t base) { next_uid_ = base; }
-
   /// The pool attached to `sim` (created on first use). Rides the
   /// Simulator's extension slot so the sim layer stays net-agnostic while
   /// pool lifetime still tracks the simulation exactly.

@@ -4,25 +4,15 @@
 #include <deque>
 #include <limits>
 
-#include "net/shard.hpp"
 #include "telemetry/hub.hpp"
 
 namespace clove::net {
 
-void Topology::begin_shard(int s) {
-  cur_shard_ = domain_ != nullptr ? s % domain_->shard_count() : 0;
-}
-
-sim::Simulator& Topology::shard_sim(int s) {
-  return domain_ != nullptr ? domain_->sim(s) : sim_;
-}
-
 Switch* Topology::add_switch(const std::string& name) {
-  auto sw = std::make_unique<Switch>(shard_sim(cur_shard_), next_id(), name);
+  auto sw = std::make_unique<Switch>(sim_, next_id(), name);
   Switch* raw = sw.get();
   switches_.push_back(raw);
   nodes_.push_back(std::move(sw));
-  shard_of_node_.push_back(cur_shard_);
   return raw;
 }
 
@@ -33,7 +23,6 @@ Switch* Topology::add_custom_switch(
   Switch* raw = sw.get();
   switches_.push_back(raw);
   nodes_.push_back(std::move(sw));
-  shard_of_node_.push_back(cur_shard_);
   return raw;
 }
 
@@ -41,30 +30,16 @@ std::pair<Link*, Link*> Topology::connect(Node* a, Node* b,
                                           const LinkConfig& cfg) {
   const LinkId id_ab = static_cast<LinkId>(links_.size());
   const LinkId id_ba = id_ab + 1;
-  // A link's events (tx completion, propagation wake) run on its SOURCE
-  // node's shard; a shard-crossing link hands finished transmissions to a
-  // staging channel instead of its propagation pipe.
-  const int sa = shard_of(a);
-  const int sb = shard_of(b);
   // The destination in-port indices must be reserved before constructing the
   // links, since each link needs the peer's ingress port number.
-  auto ab = std::make_unique<Link>(shard_sim(sa), id_ab,
-                                   a->name() + "->" + b->name(), b,
-                                   /*dst_in_port=*/b->port_count(), cfg);
-  auto ba = std::make_unique<Link>(shard_sim(sb), id_ba,
-                                   b->name() + "->" + a->name(), a,
-                                   /*dst_in_port=*/a->port_count(), cfg);
+  auto ab = std::make_unique<Link>(sim_, id_ab, a->name() + "->" + b->name(),
+                                   b, /*dst_in_port=*/b->port_count(), cfg);
+  auto ba = std::make_unique<Link>(sim_, id_ba, b->name() + "->" + a->name(),
+                                   a, /*dst_in_port=*/a->port_count(), cfg);
   a->attach_port(ab.get());  // a's egress; also reserves a's ingress index
   b->attach_port(ba.get());
   Link* pab = ab.get();
   Link* pba = ba.get();
-  if (domain_ != nullptr && sa != sb) {
-    pab->set_channel(domain_->make_channel(pab, sa, sb));
-    pba->set_channel(domain_->make_channel(pba, sb, sa));
-    // The conservative window bound: nothing crosses a shard boundary in
-    // less than the fastest cross-shard propagation delay.
-    domain_->note_lookahead(cfg.propagation);
-  }
   links_.push_back(std::move(ab));
   links_.push_back(std::move(ba));
   return {pab, pba};
@@ -93,11 +68,7 @@ void Topology::compute_routes() {
                      "topology.route_recompute", {},
                      static_cast<double>(route_epoch_));
   }
-  if (domain_ != nullptr) {
-    // Recomputed routes touch switches in every shard; give every shard's
-    // flight recorder the ordering amnesty, not just the calling thread's.
-    domain_->broadcast_route_change();
-  } else if (auto* fr = telemetry::flight()) {
+  if (auto* fr = telemetry::flight()) {
     fr->on_route_change();
   }
   // Adjacency: for each node, its live egress links.

@@ -13,16 +13,9 @@
 
 namespace clove::net {
 
-class ShardDomain;
-
 /// Owns every node and link of one simulated network, assigns ids/IPs,
 /// wires bidirectional connections, computes shortest-path ECMP routes and
 /// recomputes them after failures (as the fabric's routing protocol would).
-///
-/// Sharded builds: attach a ShardDomain (set_shard_domain) before adding
-/// nodes, then bracket node creation with begin_shard(s). Nodes land on
-/// their shard's simulator; connect() detects shard-crossing connections
-/// and routes them through staging channels (see shard.hpp).
 class Topology {
  public:
   explicit Topology(sim::Simulator& sim) : sim_(sim) {}
@@ -42,7 +35,6 @@ class Topology {
     T* raw = node.get();
     hosts_.push_back(raw);
     nodes_.push_back(std::move(node));
-    shard_of_node_.push_back(cur_shard_);
     return raw;
   }
 
@@ -73,35 +65,14 @@ class Topology {
   /// Number of route recomputations (visible to tests).
   [[nodiscard]] int route_epoch() const { return route_epoch_; }
 
-  // --- sharding (net::ShardDomain) -----------------------------------------
-
-  /// Attach the shard domain BEFORE adding nodes. Null = serial build (the
-  /// default); every node then lives on the constructor's simulator and
-  /// connect() never creates channels — the serial path is untouched.
-  void set_shard_domain(ShardDomain* d) { domain_ = d; }
-  [[nodiscard]] ShardDomain* shard_domain() const { return domain_; }
-
-  /// Subsequent add_switch/add_host calls place nodes on shard `s` (modulo
-  /// the domain's shard count; ignored when no domain is attached).
-  void begin_shard(int s);
-  /// The shard a node was built on (0 in serial builds).
-  [[nodiscard]] int shard_of(const Node* n) const {
-    return shard_of_node_[n->id()];
-  }
-  /// The simulator shard `s` runs on (the main simulator when unsharded).
-  [[nodiscard]] sim::Simulator& shard_sim(int s);
-
  private:
   NodeId next_id() { return static_cast<NodeId>(nodes_.size()); }
 
   sim::Simulator& sim_;
-  ShardDomain* domain_{nullptr};
-  int cur_shard_{0};
   std::vector<std::unique_ptr<Node>> nodes_;
   std::vector<std::unique_ptr<Link>> links_;
   std::vector<Switch*> switches_;
   std::vector<Node*> hosts_;
-  std::vector<int> shard_of_node_;  ///< indexed by node id (dense)
   // links_[i] and links_[i^1] are the two directions of one connection.
   int route_epoch_{0};
 };

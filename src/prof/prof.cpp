@@ -71,14 +71,6 @@ void Profiler::note_table(const std::string& name, const TableStats& t) {
   ++a.n;
 }
 
-void Profiler::note_shard(int shard, const Profiler& o) {
-  ShardStat s;
-  s.shard = shard;
-  s.events = o.events_;
-  for (int i = 0; i < kScopeCount; ++i) s.scopes[i] = o.stats_[i];
-  shards_.push_back(s);
-}
-
 void Profiler::merge_from(const Profiler& o) {
   for (int i = 0; i < kScopeCount; ++i) {
     stats_[i].count += o.stats_[i].count;
@@ -103,7 +95,6 @@ void Profiler::merge_from(const Profiler& o) {
     if (agg.sum.max_probe > a.sum.max_probe) a.sum.max_probe = agg.sum.max_probe;
     a.n += agg.n;
   }
-  for (const ShardStat& s : o.shards_) shards_.push_back(s);
   overflow_ += o.overflow_;
   events_ += o.events_;
   if (o.queue_hwm_ > queue_hwm_) queue_hwm_ = o.queue_hwm_;
@@ -249,35 +240,6 @@ std::string Profiler::to_json(int indent) const {
     out += "}";
   }
   out += nl + pad + "]," + nl;
-
-  if (!shards_.empty()) {
-    out += pad + "\"shards\": [";
-    first = true;
-    for (const ShardStat& sh : shards_) {
-      if (!first) out += ",";
-      first = false;
-      out += nl + pad + pad + "{";
-      append_kv(out, "shard", static_cast<std::uint64_t>(sh.shard));
-      append_kv(out, "events", sh.events);
-      out += "\"scopes\": [";
-      bool sfirst = true;
-      for (int i = 0; i < kScopeCount; ++i) {
-        const ScopeStat& s = sh.scopes[i];
-        if (s.count == 0) continue;
-        if (!sfirst) out += ", ";
-        sfirst = false;
-        out += "{\"name\": \"";
-        out += scope_name(static_cast<ScopeId>(i));
-        out += "\", ";
-        append_kv(out, "count", s.count);
-        append_kv(out, "self_ns", s.self_ns);
-        append_kv(out, "total_ns", s.total_ns, false);
-        out += "}";
-      }
-      out += "]}";
-    }
-    out += nl + pad + "]," + nl;
-  }
 
   out += pad;
   append_kv(out, "distinct_paths", paths_.size(), false);

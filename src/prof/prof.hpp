@@ -56,7 +56,7 @@ enum ScopeId : std::uint8_t {
   kTelemetry,       ///< metrics snapshot / trace + artifact export
   kFlight,          ///< flight-recorder summary, audits, export
   kOther,           ///< escape hatch (also absorbs stack overflow)
-  kShardSync,       ///< sharded runner: barrier wait + coordination
+  kShardSync,       ///< reserved, always 0: perfbench reads every scope name
   kHybrid,          ///< hybrid flow/packet engine: rate solver + fluid advance
   kScopeCount
 };
@@ -181,18 +181,6 @@ class Profiler {
     }
   }
 
-  /// Record a pre-measured span outside the RAII scope machinery. The
-  /// sharded runner times barrier waits with raw clock reads (a prof::Scope
-  /// around a spin loop would distort the folded paths) and deposits them
-  /// here under kShardSync.
-  void add_span(ScopeId id, std::uint64_t ns) {
-    ScopeStat& s = stats_[id];
-    ++s.count;
-    s.self_ns += ns;
-    s.total_ns += ns;
-    if (mode_ == Mode::kFull) hist_[id].observe(ns);
-  }
-
   // --- engine gauges (cold path) ------------------------------------------
   /// Fold in one simulation's event-queue story: live-event high-water mark
   /// and slab capacity (max-merged), events dispatched (summed).
@@ -212,12 +200,6 @@ class Profiler {
   /// and probe sums add, max probe maxes) so a fleet of per-switch flowlet
   /// tables reads as one row.
   void note_table(const std::string& name, const TableStats& t);
-
-  /// Keep a per-shard copy of one shard profiler's scope aggregates before
-  /// it is merge_from()'d into the session total. Exported as the "shards"
-  /// array of the self-profile so prof_summarize.py can show where each
-  /// shard's wall-clock went (and how much of it was shard_sync wait).
-  void note_shard(int shard, const Profiler& o);
 
   // --- aggregation --------------------------------------------------------
   /// Fold another profiler's aggregates into this one. Commutative and
@@ -267,12 +249,6 @@ class Profiler {
     TableStats sum;       ///< sizes/capacities/tombstones/probe_sum added
     std::uint64_t n{0};   ///< tables folded in
   };
-  struct ShardStat {
-    int shard{0};
-    std::uint64_t events{0};
-    ScopeStat scopes[kScopeCount]{};
-  };
-
   /// Sorted (path, cell) pairs — the deterministic view of paths_.
   [[nodiscard]] std::vector<std::pair<std::uint64_t, PathCell>> sorted_paths()
       const;
@@ -286,7 +262,6 @@ class Profiler {
   LatencyHistogram hist_[kScopeCount]{};
   util::FlatMap<std::uint64_t, PathCell> paths_;
   std::map<std::string, TableAgg> tables_;  ///< ordered for stable export
-  std::vector<ShardStat> shards_;           ///< per-shard copies (shard order)
   std::uint64_t overflow_{0};
   std::uint64_t events_{0};
   std::uint64_t queue_hwm_{0};

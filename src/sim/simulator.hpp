@@ -58,18 +58,6 @@ class Simulator {
   void stop() { stopped_ = true; }
   void clear_stop() { stopped_ = false; }
 
-  /// Time of the next pending event, or kTimeNever when the queue is empty.
-  /// Used by the sharded runner to size conservative lookahead windows.
-  [[nodiscard]] Time next_event_time() { return queue_.next_time(); }
-
-  /// Advance the clock to `t` without running anything (no-op when `t` is in
-  /// the past). Only valid when no event earlier than `t` is pending — the
-  /// shard coordinator uses it to align all shard clocks at a barrier before
-  /// executing a global action (fault, route recompute) at exactly `t`.
-  void advance_to(Time t) {
-    if (t > now_) now_ = t;
-  }
-
   [[nodiscard]] std::uint64_t events_processed() const { return events_processed_; }
   /// Live (scheduled, not cancelled, not yet fired) events.
   [[nodiscard]] std::size_t pending_events() const { return queue_.size(); }

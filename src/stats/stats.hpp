@@ -45,6 +45,12 @@ class Samples {
     sorted_ = false;
   }
 
+  /// Append every sample of `o` (pooling runs, e.g. one per seed).
+  void merge(const Samples& o) {
+    values_.insert(values_.end(), o.values_.begin(), o.values_.end());
+    sorted_ = false;
+  }
+
   [[nodiscard]] std::size_t count() const { return values_.size(); }
   [[nodiscard]] double mean() const {
     if (values_.empty()) return 0.0;
@@ -111,6 +117,13 @@ class FctRecorder {
     all_.add(fct_seconds);
     if (flow_bytes < kMiceMaxBytes) mice_.add(fct_seconds);
     if (flow_bytes > kElephantMinBytes) elephants_.add(fct_seconds);
+  }
+
+  /// Pool another recorder's samples into this one, class by class.
+  void merge(const FctRecorder& o) {
+    all_.merge(o.all_);
+    mice_.merge(o.mice_);
+    elephants_.merge(o.elephants_);
   }
 
   [[nodiscard]] Samples& all() { return all_; }

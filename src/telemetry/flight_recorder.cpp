@@ -143,36 +143,6 @@ Journey* FlightRecorder::begin_journey(std::uint64_t uid, sim::Time now) {
   return &j;
 }
 
-bool FlightRecorder::take_journey(std::uint64_t uid, Journey* out) {
-  std::uint32_t* slot = live_.find(uid);
-  if (slot == nullptr) return false;
-  *out = slab_[*slot];
-  free_slots_.push_back(*slot);
-  live_.erase(uid);
-  return true;
-}
-
-bool FlightRecorder::adopt_journey(const Journey& j) {
-  if (live_.size() >= cfg_.max_live_journeys) {
-    ++not_tracked_;
-    return false;
-  }
-  auto [slot, inserted] = live_.try_emplace(j.uid);
-  std::uint32_t idx;
-  if (!inserted) {
-    idx = *slot;  // impossible in practice (uids are globally unique)
-  } else if (!free_slots_.empty()) {
-    idx = free_slots_.back();
-    free_slots_.pop_back();
-  } else {
-    idx = static_cast<std::uint32_t>(slab_.size());
-    slab_.emplace_back();
-  }
-  *slot = idx;
-  slab_[idx] = j;
-  return true;
-}
-
 void FlightRecorder::finalize(Journey& j, JourneyOutcome outcome,
                               std::uint32_t end_node, sim::Time now) {
   j.outcome = outcome;

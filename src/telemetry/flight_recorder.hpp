@@ -278,20 +278,6 @@ class FlightRecorder {
   /// one). Legal only while the policy reports every path congested (§3.2).
   void on_ecn_to_vm(bool all_paths_congested);
 
-  // --- cross-shard journey handoff (net::ShardChannel) --------------------
-
-  /// Copy the live journey for `uid` into `*out` and stop tracking it here,
-  /// WITHOUT recording an outcome: the packet is leaving this shard, not
-  /// ending. Returns false (leaving `*out` untouched) when uid is untracked.
-  bool take_journey(std::uint64_t uid, Journey* out);
-
-  /// Resume tracking a journey taken from another shard's recorder. The
-  /// journey keeps its uid, hops, and origin decision; per-flow audit state
-  /// does NOT transfer (flowlet attribution and ordering audits run where
-  /// the flow's on_pick stream lives). Returns false — counting the journey
-  /// as not_tracked — when the live cap is hit.
-  bool adopt_journey(const Journey& j);
-
   // --- audits -------------------------------------------------------------
 
   /// Packet-conservation audit: every journey must end (delivered, consumed,

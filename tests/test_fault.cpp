@@ -7,13 +7,18 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <string>
 
 #include "fault/fault.hpp"
 #include "harness/experiment.hpp"
 #include "lb/ecmp.hpp"
+#include "net/fat_tree.hpp"
 #include "net/topology.hpp"
 #include "overlay/hypervisor.hpp"
+#include "overlay/paths.hpp"
 #include "sim/simulator.hpp"
+#include "telemetry/flight_recorder.hpp"
+#include "telemetry/scope.hpp"
 
 namespace clove::fault {
 namespace {
@@ -343,6 +348,87 @@ TEST(FaultDeterminism, FaultedHarnessRunIsBitIdentical) {
   // Exact FP equality on purpose: same seeds, same event order.
   EXPECT_EQ(r1.avg_fct_s, r2.avg_fct_s);
   EXPECT_EQ(r1.p99_fct_s, r2.p99_fct_s);
+}
+
+/// A host that counts and frees every packet it receives.
+class SinkHost : public net::Node {
+ public:
+  SinkHost(net::NodeId id, std::string name) : Node(id, std::move(name)) {}
+  void receive(net::PacketPtr pkt, int /*in_port*/) override {
+    ++received;
+    pkt.reset();
+  }
+  std::uint64_t received{0};
+};
+
+TEST(FaultDeterminism, FatTreeFlapAndSilentDropArePinned) {
+  // A k=8 fat-tree under staggered cross-pod traffic while one core uplink
+  // flaps (with deferred route convergence) and another silently eats half
+  // its packets, all under the full flight recorder. The delivered count
+  // and the conservation audit are pinned: any change in packet fates,
+  // drop accounting or journey bookkeeping moves them.
+  telemetry::ScopeSettings settings;
+  settings.enabled = true;
+  settings.flight.mode = telemetry::FlightMode::kFull;
+  telemetry::Scope scope(settings);
+  telemetry::ScopeGuard guard(scope);
+
+  sim::Simulator sim(/*seed=*/7);
+  net::Topology topo(sim);
+  net::FatTreeConfig cfg;
+  cfg.k = 8;
+  net::FatTree ft = net::build_fat_tree(
+      topo, cfg, [](net::Topology& t, const std::string& name, int /*pod*/) {
+        return t.add_host<SinkHost>(name);
+      });
+  FaultPlan plan;
+  plan.route_convergence = 2 * sim::kMillisecond;
+  plan.add(3 * sim::kMillisecond, FaultKind::kLinkDown, "A0.0->C0.0#0");
+  plan.add(4 * sim::kMillisecond, FaultKind::kLinkDrop, "A1.1->C1.1#0", 0.5);
+  plan.add(9 * sim::kMillisecond, FaultKind::kLinkUp, "A0.0->C0.0#0");
+  FaultInjector inj(topo, plan);
+  inj.arm();
+
+  // 48 packets per host towards its peer in the opposite pod, one every
+  // 250 us, so the traffic spans the whole fault window (3..11 ms).
+  const int pods = ft.n_pods();
+  for (int pod = 0; pod < pods; ++pod) {
+    const auto& hs = ft.hosts_by_pod[static_cast<std::size_t>(pod)];
+    const auto& peers =
+        ft.hosts_by_pod[static_cast<std::size_t>((pod + pods / 2) % pods)];
+    for (std::size_t i = 0; i < hs.size(); ++i) {
+      net::Node* src = hs[i];
+      net::Node* dst = peers[i % peers.size()];
+      for (int b = 0; b < 48; ++b) {
+        const sim::Time at = static_cast<sim::Time>(b) * 250 * sim::kMicrosecond +
+                             static_cast<sim::Time>(pod + 1) * sim::kMicrosecond;
+        sim.schedule_at(at, [src, dst, b, &sim] {
+          auto pkt = net::make_packet(sim);
+          pkt->inner = net::FiveTuple{
+              src->ip(), dst->ip(),
+              static_cast<std::uint16_t>(overlay::kEphemeralBase +
+                                         ((static_cast<unsigned>(b) * 37u) &
+                                          1023u)),
+              7471, net::Proto::kStt};
+          pkt->payload = 1460;
+          pkt->ttl = 64;
+          src->port(0)->enqueue(std::move(pkt));
+        });
+      }
+    }
+  }
+  sim.run(20 * sim::kMillisecond);
+
+  std::uint64_t received = 0;
+  for (const auto& hs : ft.hosts_by_pod) {
+    for (net::Node* h : hs) received += static_cast<SinkHost*>(h)->received;
+  }
+  EXPECT_EQ(inj.stats().events_applied, 3);
+  EXPECT_EQ(received, 6113u);
+  telemetry::FlightRecorder* fr = scope.flight_recorder();
+  ASSERT_NE(fr, nullptr);
+  fr->audit_conservation(sim.now());
+  EXPECT_EQ(fr->audit().total(), 0u);
 }
 
 }  // namespace

@@ -111,6 +111,25 @@ TEST(FctRecorder, BoundaryValues) {
   EXPECT_EQ(r.elephants().count(), 0u);
 }
 
+TEST(FctRecorder, MergePoolsEverySizeClass) {
+  // Two "seeds": the pooled p99 must come from all ten samples, not from
+  // either run alone and not from the mean of the per-run p99s.
+  FctRecorder a;
+  FctRecorder b;
+  for (int i = 1; i <= 5; ++i) a.add(50'000, i);  // mice 1..5
+  for (int i = 6; i <= 9; ++i) b.add(50'000, i);  // mice 6..9
+  b.add(20'000'000, 100.0);                       // one elephant
+  EXPECT_DOUBLE_EQ(a.mice().percentile(100), 5.0);  // sorts before merging
+  a.merge(b);
+  EXPECT_EQ(a.all().count(), 10u);
+  EXPECT_EQ(a.mice().count(), 9u);
+  EXPECT_EQ(a.elephants().count(), 1u);
+  EXPECT_DOUBLE_EQ(a.mice().percentile(100), 9.0);
+  EXPECT_DOUBLE_EQ(a.mice().percentile(50), 5.0);
+  EXPECT_DOUBLE_EQ(a.all().percentile(100), 100.0);
+  EXPECT_EQ(b.all().count(), 5u);  // the source is left untouched
+}
+
 TEST(Table, FormatsAlignedColumns) {
   Table t({"name", "value"});
   t.add_row({"a", "1"});
