@@ -9,6 +9,11 @@
 
 namespace clove::net {
 
+namespace {
+/// How many packets ahead of the one being serialized start_tx() prefetches.
+constexpr std::size_t kPrefetchAhead = 2;
+}  // namespace
+
 Link::Link(sim::Simulator& sim, LinkId id, std::string name, Node* dst,
            int dst_in_port, const LinkConfig& cfg)
     : sim_(sim),
@@ -100,6 +105,15 @@ void Link::start_tx() {
   busy_ = true;
   in_flight_ = std::move(queue_.front());
   queue_.pop_front();
+  // A deep FIFO's packets were written long ago and have left the cache by
+  // the time they reach the head. Prefetch the packet kPrefetchAhead places
+  // after this one, so the two lines a transmission reads (the head, for
+  // wire_size(), and htrace, checked in on_tx_done) are cached by its turn.
+  if (queue_.size() >= kPrefetchAhead) {
+    const Packet* ahead = queue_[kPrefetchAhead - 1].get();
+    __builtin_prefetch(ahead);
+    __builtin_prefetch(&ahead->htrace);
+  }
   const std::int64_t wire = in_flight_->wire_size();
   queue_bytes_ -= wire;
   // Memoize the delay: wire sizes repeat (MTU data, bare ACKs), and the

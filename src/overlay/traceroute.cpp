@@ -17,32 +17,49 @@ TracerouteDaemon::TracerouteDaemon(sim::Simulator& sim, net::IpAddr self,
       cfg_(cfg),
       send_(std::move(send)),
       on_paths_(std::move(on_paths)),
-      rng_(seed ^ (static_cast<std::uint64_t>(self) << 20)) {}
+      rng_(seed ^ (static_cast<std::uint64_t>(self) << 20)),
+      hop_stride_(static_cast<std::size_t>(std::max(cfg.max_ttl, 0)) + 1) {}
 
-void TracerouteDaemon::add_destination(net::IpAddr dst) {
-  auto [it, inserted] = dsts_.try_emplace(dst);
-  if (!inserted) return;
-  probe_now(dst);
+std::uint32_t TracerouteDaemon::slot_of(net::IpAddr dst) {
+  auto [it, inserted] =
+      slot_of_.try_emplace(dst, static_cast<std::uint32_t>(dsts_.size()));
+  if (inserted) dsts_.emplace_back().dst = dst;
+  return it->second;
 }
 
-void TracerouteDaemon::probe_now(net::IpAddr dst) {
-  DstState& st = dsts_[dst];
-  if (st.round.open) return;  // a round is already collecting
+void TracerouteDaemon::add_destination(net::IpAddr dst) {
+  if (slot_of_.contains(dst)) return;
+  start_round(slot_of(dst));
+}
 
-  st.round = Round{};
-  st.round.id = next_round_id_++;
-  st.round.open = true;
-  round_owner_[st.round.id] = dst;
+void TracerouteDaemon::probe_now(net::IpAddr dst) { start_round(slot_of(dst)); }
 
-  // Sample distinct random encapsulation source ports.
+void TracerouteDaemon::start_round(std::uint32_t slot) {
+  Round& r = dsts_[slot].round;
+  if (r.open) return;  // a round is already collecting
+  const net::IpAddr dst = dsts_[slot].dst;
+
+  r.id = next_round_id_++;
+  r.open = true;
+  id_owner_.push_back(slot);
+
+  // Sample distinct random encapsulation source ports. The set's iteration
+  // order is the send order, which decides which probes overflowing queues
+  // drop: it is part of the simulated outcome.
+  const int want = std::clamp(cfg_.sample_ports, 0,
+                              static_cast<int>(kEphemeralCount));
   std::unordered_set<std::uint16_t> ports;
-  while (static_cast<int>(ports.size()) < cfg_.sample_ports) {
+  while (static_cast<int>(ports.size()) < want) {
     ports.insert(static_cast<std::uint16_t>(
         kEphemeralBase + rng_.uniform_int(kEphemeralCount)));
   }
 
-  for (std::uint16_t port : ports) {
-    st.round.traces.try_emplace(port);
+  r.ports.assign(ports.begin(), ports.end());
+  r.dest_hop.assign(r.ports.size(), 0);
+  r.dest_ingress.assign(r.ports.size(), 0);
+  r.hops.assign(r.ports.size() * hop_stride_, PathHop{});
+
+  for (std::uint16_t port : r.ports) {
     for (int ttl = 1; ttl <= cfg_.max_ttl; ++ttl) {
       auto probe = net::make_packet(sim_);
       probe->encap.present = true;
@@ -51,7 +68,7 @@ void TracerouteDaemon::probe_now(net::IpAddr dst) {
       probe->inner = probe->encap.tuple;  // probes carry no tenant payload
       probe->payload = 0;
       probe->ttl = static_cast<std::uint8_t>(ttl);
-      probe->probe.probe_id = st.round.id;
+      probe->probe.probe_id = r.id;
       probe->probe.probed_port = port;
       probe->probe.hop_index = static_cast<std::uint8_t>(ttl);
       probe->sent_at = sim_.now();
@@ -60,12 +77,13 @@ void TracerouteDaemon::probe_now(net::IpAddr dst) {
     }
   }
 
-  sim_.schedule_in(cfg_.probe_timeout, [this, dst] { finish_round(dst); });
+  sim_.schedule_in(cfg_.probe_timeout, [this, slot] { finish_round(slot); });
 }
 
 void TracerouteDaemon::keepalive(net::IpAddr dst, std::uint16_t port,
                                  KeepaliveFn done) {
   const std::uint32_t id = next_round_id_++;
+  id_owner_.push_back(kNoOwner);
   keepalives_.emplace(id, Keepalive{dst, port, std::move(done)});
 
   auto probe = net::make_packet(sim_);
@@ -93,95 +111,104 @@ void TracerouteDaemon::keepalive(net::IpAddr dst, std::uint16_t port,
 }
 
 bool TracerouteDaemon::evict_port(net::IpAddr dst, std::uint16_t port) {
-  auto it = dsts_.find(dst);
-  if (it == dsts_.end()) return false;
-  auto& paths = it->second.current.paths;
+  auto it = slot_of_.find(dst);
+  if (it == slot_of_.end()) return false;
+  PathSet& current = dsts_[it->second].current;
+  auto& paths = current.paths;
   const auto pit =
       std::find_if(paths.begin(), paths.end(),
                    [port](const PathInfo& p) { return p.port == port; });
   if (pit == paths.end()) return false;
   paths.erase(pit);
-  if (on_paths_) on_paths_(dst, it->second.current);
+  if (on_paths_) on_paths_(dst, current);
   return true;
 }
 
 void TracerouteDaemon::on_reply(const net::Packet& pkt) {
   CLOVE_PROF_SCOPE(prof::kDiscovery);
-  if (auto kit = keepalives_.find(pkt.probe.probe_id);
-      kit != keepalives_.end()) {
-    if (!pkt.probe.from_destination) return;  // mid-path echo: not liveness
-    Keepalive ka = std::move(kit->second);
-    keepalives_.erase(kit);
-    if (ka.done) ka.done(ka.dst, ka.port, true);
-    return;
+  const std::uint32_t id = pkt.probe.probe_id;
+  if (!keepalives_.empty()) {
+    if (auto kit = keepalives_.find(id); kit != keepalives_.end()) {
+      if (!pkt.probe.from_destination) return;  // mid-path echo: not liveness
+      Keepalive ka = std::move(kit->second);
+      keepalives_.erase(kit);
+      if (ka.done) ka.done(ka.dst, ka.port, true);
+      return;
+    }
   }
-  auto oit = round_owner_.find(pkt.probe.probe_id);
-  if (oit == round_owner_.end()) return;  // a stale round's straggler
-  DstState& st = dsts_[oit->second];
-  if (!st.round.open || st.round.id != pkt.probe.probe_id) return;
+  if (id >= id_owner_.size() || id_owner_[id] == kNoOwner) return;
+  Round& r = dsts_[id_owner_[id]].round;
+  if (!r.open || r.id != id) return;  // a stale round's straggler
 
-  auto tit = st.round.traces.find(pkt.probe.probed_port);
-  if (tit == st.round.traces.end()) return;
-  PortTrace& trace = tit->second;
+  const auto pit =
+      std::find(r.ports.begin(), r.ports.end(), pkt.probe.probed_port);
+  if (pit == r.ports.end()) return;
+  const auto slot = static_cast<std::size_t>(pit - r.ports.begin());
   const int hop = pkt.probe.hop_index;
+  if (hop < 1 || hop > cfg_.max_ttl) return;  // not a rung of our ladder
   if (pkt.probe.from_destination) {
-    if (trace.dest_reached_at == 0 || hop < trace.dest_reached_at) {
-      trace.dest_reached_at = hop;
-      trace.dest_ingress = pkt.probe.hop_ingress;
+    if (r.dest_hop[slot] == 0 || hop < r.dest_hop[slot]) {
+      r.dest_hop[slot] = static_cast<std::uint8_t>(hop);
+      r.dest_ingress[slot] = pkt.probe.hop_ingress;
     }
   } else {
-    trace.hops[hop] = PathHop{pkt.probe.hop_ip, pkt.probe.hop_ingress};
+    r.hops[slot * hop_stride_ + static_cast<std::size_t>(hop)] =
+        PathHop{pkt.probe.hop_ip, pkt.probe.hop_ingress};
   }
 }
 
-void TracerouteDaemon::finish_round(net::IpAddr dst) {
-  DstState& st = dsts_[dst];
-  if (!st.round.open) return;
-  st.round.open = false;
-  round_owner_.erase(st.round.id);
+void TracerouteDaemon::finish_round(std::uint32_t slot) {
+  Round& r = dsts_[slot].round;
+  if (!r.open) return;
+  r.open = false;
+  const net::IpAddr dst = dsts_[slot].dst;
 
   // Assemble candidate paths: a port's trace is usable when we saw a
   // destination reply at hop D and contiguous switch hops 1..D-1.
   std::vector<PathInfo> candidates;
-  for (auto& [port, trace] : st.round.traces) {
-    if (trace.dest_reached_at == 0) continue;
-    PathInfo info;
-    info.port = port;
+  for (std::size_t i = 0; i < r.ports.size(); ++i) {
+    const int reached = r.dest_hop[i];
+    if (reached == 0) continue;
+    const PathHop* row = &r.hops[i * hop_stride_];
     bool complete = true;
-    for (int h = 1; h < trace.dest_reached_at; ++h) {
-      auto hit = trace.hops.find(h);
-      if (hit == trace.hops.end()) {
+    for (int h = 1; h < reached; ++h) {
+      if (row[h].node == net::kIpNone) {
         complete = false;
         break;
       }
-      info.hops.push_back(hit->second);
     }
     if (!complete) continue;
-    info.hops.push_back(PathHop{dst, trace.dest_ingress});
+    PathInfo info;
+    info.port = r.ports[i];
+    info.hops.assign(row + 1, row + reached);
+    info.hops.push_back(PathHop{dst, r.dest_ingress[i]});
     candidates.push_back(std::move(info));
   }
 
   std::vector<PathInfo> chosen = select_disjoint(std::move(candidates),
                                                  cfg_.k_paths);
   if (!chosen.empty()) {
-    st.current.paths = std::move(chosen);
-    st.current.discovered_at = sim_.now();
+    PathSet& current = dsts_[slot].current;
+    current.paths = std::move(chosen);
+    current.discovered_at = sim_.now();
     ++rounds_completed_;
-    if (on_paths_) on_paths_(dst, st.current);
+    if (on_paths_) on_paths_(dst, current);
   }
-  schedule_next(dst);
+  schedule_next(slot);
 }
 
 std::vector<PathInfo> TracerouteDaemon::select_disjoint(
     std::vector<PathInfo> candidates, int k) {
-  // Deduplicate by signature (many ports hash to the same physical path);
+  // Deduplicate by hop list (many ports hash to the same physical path);
   // keep the lowest port per path for determinism.
   std::sort(candidates.begin(), candidates.end(),
             [](const PathInfo& a, const PathInfo& b) { return a.port < b.port; });
   std::vector<PathInfo> unique;
-  std::unordered_set<std::string> seen;
   for (auto& c : candidates) {
-    if (seen.insert(c.signature()).second) unique.push_back(std::move(c));
+    const bool seen = std::any_of(
+        unique.begin(), unique.end(),
+        [&c](const PathInfo& u) { return u.hops == c.hops; });
+    if (!seen) unique.push_back(std::move(c));
   }
 
   // Greedy: repeatedly add the path sharing the fewest links with the
@@ -202,31 +229,31 @@ std::vector<PathInfo> TracerouteDaemon::select_disjoint(
     }
     if (best < 0) break;
     used[static_cast<std::size_t>(best)] = true;
-    chosen.push_back(unique[static_cast<std::size_t>(best)]);
+    chosen.push_back(std::move(unique[static_cast<std::size_t>(best)]));
   }
   std::sort(chosen.begin(), chosen.end(),
             [](const PathInfo& a, const PathInfo& b) { return a.port < b.port; });
   return chosen;
 }
 
-void TracerouteDaemon::schedule_next(net::IpAddr dst) {
-  DstState& st = dsts_[dst];
-  if (st.scheduled) return;
-  st.scheduled = true;
+void TracerouteDaemon::schedule_next(std::uint32_t slot) {
+  if (dsts_[slot].scheduled) return;
+  dsts_[slot].scheduled = true;
   const double jitter =
       1.0 + cfg_.interval_jitter * (2.0 * rng_.uniform() - 1.0);
   const sim::Time delay = static_cast<sim::Time>(
       static_cast<double>(cfg_.probe_interval) * jitter);
-  sim_.schedule_in(delay, [this, dst] {
-    dsts_[dst].scheduled = false;
-    probe_now(dst);
+  sim_.schedule_in(delay, [this, slot] {
+    dsts_[slot].scheduled = false;
+    start_round(slot);
   });
 }
 
 const PathSet* TracerouteDaemon::paths(net::IpAddr dst) const {
-  auto it = dsts_.find(dst);
-  if (it == dsts_.end() || it->second.current.empty()) return nullptr;
-  return &it->second.current;
+  auto it = slot_of_.find(dst);
+  if (it == slot_of_.end()) return nullptr;
+  const PathSet& current = dsts_[it->second].current;
+  return current.empty() ? nullptr : &current;
 }
 
 }  // namespace clove::overlay

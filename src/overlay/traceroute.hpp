@@ -2,7 +2,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <map>
 #include <unordered_map>
 #include <vector>
 
@@ -76,17 +75,19 @@ class TracerouteDaemon {
                                                int k);
 
  private:
-  struct PortTrace {
-    std::map<int, PathHop> hops;  ///< hop_index -> (node, ingress interface)
-    int dest_reached_at{0};       ///< min hop_index of a destination reply
-    std::int32_t dest_ingress{0}; ///< NIC port the destination saw it on
-  };
+  /// One probe round's replies, in flat arrays that keep their capacity
+  /// from round to round. Slot i is the i-th probed port in send order; the
+  /// hop table is slots x (max_ttl + 1), indexed by hop_index.
   struct Round {
     std::uint32_t id{0};
-    std::unordered_map<std::uint16_t, PortTrace> traces;
     bool open{false};
+    std::vector<std::uint16_t> ports;    ///< probed ports, in send order
+    std::vector<std::uint8_t> dest_hop;  ///< min destination hop, 0 = none
+    std::vector<std::int32_t> dest_ingress;  ///< NIC port at the destination
+    std::vector<PathHop> hops;  ///< switch replies; node kIpNone = none yet
   };
   struct DstState {
+    net::IpAddr dst{net::kIpNone};
     PathSet current;
     Round round;
     bool scheduled{false};
@@ -97,8 +98,11 @@ class TracerouteDaemon {
     KeepaliveFn done;
   };
 
-  void finish_round(net::IpAddr dst);
-  void schedule_next(net::IpAddr dst);
+  /// Index of dst's state in dsts_, created on first use.
+  std::uint32_t slot_of(net::IpAddr dst);
+  void start_round(std::uint32_t slot);
+  void finish_round(std::uint32_t slot);
+  void schedule_next(std::uint32_t slot);
 
   sim::Simulator& sim_;
   net::IpAddr self_;
@@ -106,9 +110,14 @@ class TracerouteDaemon {
   SendFn send_;
   PathsCallback on_paths_;
   sim::Rng rng_;
+  std::size_t hop_stride_;  ///< Round::hops row length: max_ttl + 1
 
-  std::unordered_map<net::IpAddr, DstState> dsts_;
-  std::unordered_map<std::uint32_t, net::IpAddr> round_owner_;
+  std::vector<DstState> dsts_;
+  std::unordered_map<net::IpAddr, std::uint32_t> slot_of_;
+  /// Probe id -> index into dsts_ of the round that sent it (kNoOwner for
+  /// keepalive ids). Ids are handed out in order, so this is a dense array.
+  static constexpr std::uint32_t kNoOwner = 0xffffffffu;
+  std::vector<std::uint32_t> id_owner_{kNoOwner};
   /// Outstanding keepalives keyed by probe id (shares the round id space so
   /// replies demultiplex unambiguously).
   std::unordered_map<std::uint32_t, Keepalive> keepalives_;

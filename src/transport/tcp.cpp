@@ -251,17 +251,20 @@ std::uint64_t TcpSender::sacked_bytes() const {
   return total;
 }
 
-std::pair<std::uint64_t, std::uint32_t> TcpSender::next_hole() const {
+std::pair<std::uint64_t, std::uint32_t> TcpSender::next_hole(
+    std::uint64_t from) const {
   if (sacked_.empty()) return {0, 0};
   const sim::Time now = port_.simulator().now();
+  const sim::Time lost_after = retx_lost_after();
   std::uint64_t pos = snd_una_;
   for (const auto& [s, e] : sacked_) {
     if (e <= pos) continue;
     std::uint64_t h = pos;
+    if (h < from) h += (from - h + cfg_.mss - 1) / cfg_.mss * cfg_.mss;
     while (h < s) {
       auto rit = hole_retx_.find(h);
       const bool recently_retx =
-          rit != hole_retx_.end() && now - rit->second < retx_lost_after();
+          rit != hole_retx_.end() && now - rit->second < lost_after;
       if (!recently_retx) {
         const std::uint32_t len = static_cast<std::uint32_t>(
             std::min<std::uint64_t>({cfg_.mss, s - h, stream_end_ - h}));
@@ -295,36 +298,49 @@ void TcpSender::sack_pump() {
   // RFC 6675-style pipe: bytes believed in flight = outstanding, minus
   // sacked bytes, minus holes below the highest sack (presumed LOST — this
   // is what lets recovery proceed), plus recent hole retransmissions.
+  //
+  // The scoreboard terms are walked once per pump, then kept exact as
+  // segments go out: new data only moves snd_nxt_, and a hole retransmission
+  // turns exactly its chunk from lost into retransmitted-in-flight (the
+  // hole next_hole() returns is the walk's chunk, since every sack block
+  // ends at or below stream_end_).
   const sim::Time now = port_.simulator().now();
+  const sim::Time lost_after = retx_lost_after();
+  const std::uint64_t sb = sacked_bytes();
+  std::uint64_t lost = 0;
+  std::uint64_t retx_inflight = 0;
+  if (!sacked_.empty()) {
+    std::uint64_t pos = snd_una_;
+    for (const auto& [s, e] : sacked_) {
+      if (e <= pos) continue;
+      for (std::uint64_t h = pos; h < s; h += cfg_.mss) {
+        const std::uint64_t len = std::min<std::uint64_t>(cfg_.mss, s - h);
+        auto rit = hole_retx_.find(h);
+        if (rit != hole_retx_.end() && now - rit->second < lost_after) {
+          retx_inflight += len;
+        } else {
+          lost += len;
+        }
+      }
+      pos = std::max(pos, e);
+    }
+  }
+  // Every chunk below a retransmitted hole was already recent, so the next
+  // hole search resumes just past it.
+  std::uint64_t hole_from = snd_una_;
   while (true) {
     const std::uint64_t outstanding = snd_nxt_ - snd_una_;
-    const std::uint64_t sb = sacked_bytes();
-    std::uint64_t lost = 0;
-    std::uint64_t retx_inflight = 0;
-    if (!sacked_.empty()) {
-      std::uint64_t pos = snd_una_;
-      for (const auto& [s, e] : sacked_) {
-        if (e <= pos) continue;
-        for (std::uint64_t h = pos; h < s; h += cfg_.mss) {
-          const std::uint64_t len = std::min<std::uint64_t>(cfg_.mss, s - h);
-          auto rit = hole_retx_.find(h);
-          if (rit != hole_retx_.end() && now - rit->second < retx_lost_after()) {
-            retx_inflight += len;
-          } else {
-            lost += len;
-          }
-        }
-        pos = std::max(pos, e);
-      }
-    }
     std::uint64_t pipe = outstanding > sb + lost ? outstanding - sb - lost : 0;
     pipe += retx_inflight;
     if (pipe >= cwnd_) break;
     if (in_recovery_) {
-      const auto [hseq, hlen] = next_hole();
+      const auto [hseq, hlen] = next_hole(hole_from);
       if (hlen > 0) {
         send_segment(hseq, hlen, /*retransmit=*/true);
         hole_retx_[hseq] = now;
+        lost -= hlen;
+        retx_inflight += hlen;
+        hole_from = hseq + 1;
         continue;
       }
     }

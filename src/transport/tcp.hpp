@@ -195,8 +195,10 @@ class TcpSender : public TcpEndpoint {
   void merge_sack_blocks(const net::TcpHeader& hdr);
   [[nodiscard]] std::uint64_t sacked_bytes() const;
   /// First unsacked hole at/above snd_una_ below the highest sacked byte
-  /// that has not been retransmitted this recovery; 0-length when none.
-  [[nodiscard]] std::pair<std::uint64_t, std::uint32_t> next_hole() const;
+  /// that has not been retransmitted recently; 0-length when none. Holes
+  /// starting below `from` are skipped (the caller knows them to be recent).
+  [[nodiscard]] std::pair<std::uint64_t, std::uint32_t> next_hole(
+      std::uint64_t from) const;
   void sack_pump();
   void enter_recovery_sack();
   void on_rto();

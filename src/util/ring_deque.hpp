@@ -41,6 +41,10 @@ class RingDeque {
 
   [[nodiscard]] T& front() { return buf_[head_]; }
   [[nodiscard]] const T& front() const { return buf_[head_]; }
+  /// The element `i` places behind the front (0 = front); i < size().
+  [[nodiscard]] const T& operator[](std::size_t i) const {
+    return buf_[(head_ + i) & (buf_.size() - 1)];
+  }
   [[nodiscard]] T& back() {
     return buf_[(head_ + size_ - 1) & (buf_.size() - 1)];
   }

@@ -1,4 +1,5 @@
 #include "util/flat_map.hpp"
+#include "util/ring_deque.hpp"
 
 #include <gtest/gtest.h>
 
@@ -250,6 +251,24 @@ TEST(FlatMap, EraseReleasesValueResourcesEagerly) {
   // The slot object itself persists (tombstone), but the value was reset to
   // a default-constructed state, dropping its heap payload.
   EXPECT_TRUE(v->payload.empty());
+}
+
+TEST(RingDeque, IndexedPeekFollowsFifoOrderAcrossWraparound) {
+  RingDeque<int> q;
+  for (int i = 0; i < 6; ++i) q.push_back(i);
+  for (int i = 0; i < 5; ++i) q.pop_front();  // head near the buffer's end
+  for (int i = 6; i < 12; ++i) q.push_back(i);  // wraps past the end
+  ASSERT_EQ(q.capacity(), RingDeque<int>::kMinCapacity);
+  ASSERT_EQ(q.size(), 7u);
+  const RingDeque<int>& cq = q;
+  for (std::size_t i = 0; i < cq.size(); ++i) {
+    EXPECT_EQ(cq[i], static_cast<int>(5 + i));
+  }
+  q.push_back(12);
+  q.push_back(13);  // full: grows and re-bases the ring
+  ASSERT_EQ(q.capacity(), 2 * RingDeque<int>::kMinCapacity);
+  EXPECT_EQ(cq[0], 5);
+  EXPECT_EQ(cq[8], 13);
 }
 
 }  // namespace

@@ -147,6 +147,7 @@ class SackPipe : public ::testing::Test {
     tx.write(3'000'000, [&](sim::Time t) { done_at = t; });
     sim.run();
     timeouts = tx.stats().timeouts;
+    packets_sent = tx.stats().packets_sent;
     return done_at;
   }
 
@@ -160,6 +161,7 @@ class SackPipe : public ::testing::Test {
   int burst_len{0};
   int drop_every{0};
   std::uint64_t timeouts{0};
+  std::uint64_t packets_sent{0};
 };
 
 TEST_F(SackPipe, RecoversBurstLossWithoutRto) {
@@ -200,6 +202,20 @@ TEST_F(SackPipe, TailBurstRepairedByProbe) {
   ASSERT_GT(t, 0);
   EXPECT_EQ(timeouts, 0u);
   EXPECT_LT(t, 50 * sim::kMillisecond);
+}
+
+TEST_F(SackPipe, MultiHoleRecoveryIsPinned) {
+  // A burst plus periodic loss keeps several holes open at once, so pumps
+  // retransmit many holes back to back. The values pin the exact recovery
+  // schedule; they are the ones the per-segment rescan of the scoreboard
+  // produced before the pipe terms were kept incrementally.
+  burst_start = 100;
+  burst_len = 40;
+  drop_every = 29;
+  const sim::Time t = run_transfer(true);
+  EXPECT_EQ(t, 48500000);
+  EXPECT_EQ(packets_sent, 2169u);
+  EXPECT_EQ(timeouts, 0u);
 }
 
 }  // namespace

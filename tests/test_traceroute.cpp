@@ -5,6 +5,7 @@
 
 #include <set>
 
+#include "harness/experiment.hpp"
 #include "lb/clove_ecn.hpp"
 #include "net/topology.hpp"
 #include "overlay/hypervisor.hpp"
@@ -92,6 +93,83 @@ TEST(SelectDisjoint, RespectsK) {
 
 TEST(SelectDisjoint, EmptyInput) {
   EXPECT_TRUE(TracerouteDaemon::select_disjoint({}, 4).empty());
+}
+
+// ---------------------------------------------------------------------------
+// One daemon driven by hand: probes are captured, replies fed to on_reply
+// ---------------------------------------------------------------------------
+
+TEST(TracerouteDaemon, SampleCountIsClampedToEphemeralRange) {
+  sim::Simulator sim;
+  TracerouteConfig cfg;
+  cfg.sample_ports = kEphemeralCount + 1000;  // more than there are ports
+  cfg.max_ttl = 1;
+  std::set<std::uint16_t> ports;
+  TracerouteDaemon d(
+      sim, /*self=*/1, cfg,
+      [&ports](net::PacketPtr p) { ports.insert(p->probe.probed_port); },
+      nullptr);
+  d.probe_now(2);  // must return: every ephemeral port, each probed once
+  EXPECT_EQ(d.probes_sent(), kEphemeralCount);
+  EXPECT_EQ(ports.size(), kEphemeralCount);
+}
+
+class HandDrivenDaemon : public ::testing::Test {
+ protected:
+  static constexpr net::IpAddr kDst = 9;
+
+  HandDrivenDaemon()
+      : daemon(sim, /*self=*/1, config(),
+               [this](net::PacketPtr p) { sent.push_back(p->probe); },
+               nullptr) {}
+
+  static TracerouteConfig config() {
+    TracerouteConfig cfg;
+    cfg.sample_ports = 1;
+    cfg.max_ttl = 3;
+    return cfg;
+  }
+
+  void reply(int hop, net::IpAddr node, bool from_destination) {
+    net::Packet pkt;
+    pkt.probe = sent.at(0);
+    pkt.probe.hop_index = static_cast<std::uint8_t>(hop);
+    pkt.probe.hop_ip = node;
+    pkt.probe.hop_ingress = 0;
+    pkt.probe.from_destination = from_destination;
+    daemon.on_reply(pkt);
+  }
+
+  sim::Simulator sim;
+  std::vector<net::ProbeInfo> sent;
+  TracerouteDaemon daemon;
+};
+
+TEST_F(HandDrivenDaemon, StraySwitchRepliesOutsideTheLadderAreIgnored) {
+  daemon.probe_now(kDst);
+  ASSERT_EQ(sent.size(), 3u);
+  reply(1, 100, false);
+  reply(2, 200, false);
+  reply(0, 666, false);    // below the ladder
+  reply(4, 777, false);    // past max_ttl
+  reply(255, 888, false);  // far past it
+  reply(3, kDst, true);
+  sim.run(sim::milliseconds(30));
+  const PathSet* ps = daemon.paths(kDst);
+  ASSERT_NE(ps, nullptr);
+  ASSERT_EQ(ps->size(), 1u);
+  const std::vector<PathHop> want{{100, 0}, {200, 0}, {kDst, 0}};
+  EXPECT_EQ(ps->paths[0].hops, want);
+}
+
+TEST_F(HandDrivenDaemon, DestinationReplyPastMaxTtlIsIgnored) {
+  daemon.probe_now(kDst);
+  reply(1, 100, false);
+  reply(2, 200, false);
+  reply(3, 300, false);
+  reply(4, kDst, true);  // no probe of this round carried hop_index 4
+  sim.run(sim::milliseconds(30));
+  EXPECT_EQ(daemon.paths(kDst), nullptr);
 }
 
 // ---------------------------------------------------------------------------
@@ -213,6 +291,70 @@ TEST_F(DiscoveryFixture, NoDiscoveryWithoutStart) {
   sim.run(sim::milliseconds(10));
   EXPECT_EQ(src->discovery().paths(dst->ip()), nullptr);
   EXPECT_EQ(src->discovery().probes_sent(), 0u);
+}
+
+// ---------------------------------------------------------------------------
+// The testbed's first discovery round, pinned
+// ---------------------------------------------------------------------------
+
+// The asymmetric Clove-ECN testbed run to traffic_start is one discovery
+// round: 32 hypervisors x 16 peers x 32 ports x 6 TTLs sent at t=0. The
+// values below pin every event, every overflow drop and every discovered
+// path, so any change to how discovery is simulated that alters one bit of
+// the outcome fails here.
+TEST(DiscoveryRound, TestbedFirstRoundIsPinned) {
+  harness::ExperimentConfig cfg = harness::make_testbed_profile();
+  cfg.scheme = harness::Scheme::kCloveEcn;
+  cfg.asymmetric = true;
+  cfg.seed = 1;
+  harness::Testbed tb(cfg);
+  tb.start_discovery();
+  tb.simulator().run(cfg.traffic_start);
+
+  std::uint64_t overflow = 0;
+  for (const auto& l : tb.topology().links()) {
+    overflow += l->stats().drops_overflow;
+  }
+  std::uint64_t probes = 0;
+  int pairs = 0;
+  std::size_t paths = 0;
+  std::uint64_t h = 0xcbf29ce484222325ull;  // FNV-1a
+  auto mix = [&h](std::uint64_t v) {
+    for (int i = 0; i < 8; ++i) {
+      h ^= (v >> (8 * i)) & 0xff;
+      h *= 0x100000001b3ull;
+    }
+  };
+  auto visit = [&](const std::vector<Hypervisor*>& side,
+                   const std::vector<Hypervisor*>& peers) {
+    for (Hypervisor* hv : side) {
+      probes += hv->discovery().probes_sent();
+      for (Hypervisor* peer : peers) {
+        const PathSet* ps = hv->discovery().paths(peer->ip());
+        if (ps == nullptr) continue;
+        ++pairs;
+        paths += ps->size();
+        mix(hv->ip());
+        mix(peer->ip());
+        for (const PathInfo& p : ps->paths) {
+          mix(p.port);
+          for (const PathHop& hop : p.hops) {
+            mix(hop.node);
+            mix(static_cast<std::uint64_t>(hop.ingress));
+          }
+        }
+      }
+    }
+  };
+  visit(tb.clients(), tb.servers());
+  visit(tb.servers(), tb.clients());
+
+  EXPECT_EQ(tb.simulator().events_processed(), 1072988u);
+  EXPECT_EQ(overflow, 18092u);
+  EXPECT_EQ(probes, 98304u);
+  EXPECT_EQ(pairs, 491);
+  EXPECT_EQ(paths, 1777u);
+  EXPECT_EQ(h, 0xfd3b028f9dee1494ull);
 }
 
 }  // namespace
