@@ -37,10 +37,12 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
+#include <functional>
 #include <string>
 #include <vector>
 
 #include "bench_common.hpp"
+#include "harness/parallel_runner.hpp"
 #include "telemetry/scope.hpp"
 
 namespace {

@@ -3,8 +3,11 @@
 #
 # Usage: ./run_benches.sh [filter]
 # With an argument, only benches whose name contains it run — e.g.
-# `./run_benches.sh scale` runs bench_scale alone, `./run_benches.sh fig`
-# every figure bench — and only their artifacts are refreshed in place.
+# `./run_benches.sh scale` runs bench_scale alone, `./run_benches.sh figures`
+# every paper figure and ablation (bench_figures) — and only their artifacts
+# are refreshed in place. For single figures run the driver directly:
+# `build/bench/bench_figures fig4b_symmetric fig9_cdf` (names as in
+# bench/figures.cpp; each writes <name>.json).
 #
 # Each bench also emits one machine-readable JSON artifact (swept points,
 # fabric counters, telemetry digest). Artifacts land in CLOVE_JSON_OUT,
@@ -16,9 +19,9 @@
 # scripts/bench_check.py compares CI runs against). Set CLOVE_JSON_OUT=<dir>
 # to redirect them elsewhere, or CLOVE_JSON_OUT="" to skip JSON output.
 #
-# Sweep points run in parallel across CLOVE_THREADS worker threads (default:
-# all hardware threads). Results are bit-identical for any thread count;
-# set CLOVE_THREADS=1 to force serial execution.
+# A figure's runs (every point and seed) go in parallel across CLOVE_THREADS
+# worker threads (default: all hardware threads). Results are bit-identical
+# for any thread count; set CLOVE_THREADS=1 to force serial execution.
 : "${CLOVE_JOBS:=30}"
 : "${CLOVE_CONNS:=2}"
 : "${CLOVE_SEEDS:=1}"

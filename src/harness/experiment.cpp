@@ -398,8 +398,8 @@ ExperimentResult run_fct_experiment(const ExperimentConfig& cfg,
   return r;
 }
 
-double run_incast_experiment(const ExperimentConfig& cfg,
-                             const workload::IncastConfig& wl_in) {
+ExperimentResult run_incast_experiment(const ExperimentConfig& cfg,
+                                       const workload::IncastConfig& wl_in) {
   telemetry::hub().begin_run();
   Testbed tb(cfg);
   tb.start_discovery();
@@ -415,7 +415,11 @@ double run_incast_experiment(const ExperimentConfig& cfg,
                                   tb.servers());
   incast.start([&] { tb.simulator().stop(); });
   tb.simulator().run(cfg.max_sim_time);
-  return incast.goodput_gbps();
+  ExperimentResult r;
+  r.goodput_gbps = incast.goodput_gbps();
+  r.events = tb.simulator().events_processed();
+  r.queue_hwm = tb.simulator().queue_high_water();
+  return r;
 }
 
 // ---------------------------------------------------------------------------

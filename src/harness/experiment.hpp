@@ -85,7 +85,7 @@ struct ExperimentConfig {
   hybrid::HybridConfig hybrid{hybrid::HybridConfig::from_env()};
 };
 
-/// Shared result shape for the FCT experiments.
+/// Shared result shape for the FCT and incast experiments.
 struct ExperimentResult {
   double avg_fct_s{0.0};
   double mice_avg_fct_s{0.0};
@@ -101,7 +101,9 @@ struct ExperimentResult {
   /// Most events simultaneously pending in the simulator's queue — the
   /// engine's memory-pressure gauge, fed to clove::prof and bench artifacts.
   std::uint64_t queue_hwm{0};
-  /// Raw recorder for CDFs (Fig. 9) — populated from the last seed run.
+  /// Incast client goodput in Gb/s (run_incast_experiment only).
+  double goodput_gbps{0.0};
+  /// This run's per-flow FCT samples, for percentiles and CDFs (Fig. 9).
   std::shared_ptr<stats::FctRecorder> fct;
   /// Telemetry registry snapshot taken at run end (empty values when the
   /// telemetry hub is disabled; see CLOVE_TELEMETRY).
@@ -171,9 +173,10 @@ class Testbed {
 ExperimentResult run_fct_experiment(const ExperimentConfig& cfg,
                                     const workload::ClientServerConfig& wl);
 
-/// Run the §5.3 incast workload; returns achieved goodput in Gb/s.
-double run_incast_experiment(const ExperimentConfig& cfg,
-                             const workload::IncastConfig& wl);
+/// Run the §5.3 incast workload. Fills goodput_gbps and the engine gauges
+/// (events, queue_hwm); the FCT fields stay empty.
+ExperimentResult run_incast_experiment(const ExperimentConfig& cfg,
+                                       const workload::IncastConfig& wl);
 
 /// Environment-based scale controls for the bench harness:
 /// CLOVE_JOBS (jobs per connection), CLOVE_SEEDS (averaging runs),

@@ -152,7 +152,7 @@ TEST(IncastWorkload, CompletesAndMeasuresGoodput) {
   ic.fanout = 4;
   ic.total_bytes = 1'000'000;
   ic.requests = 3;
-  const double gbps = harness::run_incast_experiment(cfg, ic);
+  const double gbps = harness::run_incast_experiment(cfg, ic).goodput_gbps;
   // Bounded by the 10G access link, above zero if it ran at all.
   EXPECT_GT(gbps, 0.5);
   EXPECT_LT(gbps, 10.1);
@@ -164,7 +164,7 @@ TEST(IncastWorkload, FanoutOneIsNearLineRate) {
   ic.fanout = 1;
   ic.total_bytes = 4'000'000;
   ic.requests = 3;
-  const double gbps = harness::run_incast_experiment(cfg, ic);
+  const double gbps = harness::run_incast_experiment(cfg, ic).goodput_gbps;
   EXPECT_GT(gbps, 3.0);  // a single NewReno stream with shallow buffers
 }
 
