@@ -74,7 +74,7 @@ class HostAdapter {
 ///  1. adopt() — its sender gets this engine as a SenderHook.
 ///  2. on_clean_ack ramps a byte counter; when the promotion predicate
 ///     holds, the sender flags its next data segment to capture the exact
-///     links of the current flowlet (Packet::htrace).
+///     links of the current flowlet (Packet::traced).
 ///  3. The destination hypervisor reports the trace at delivery
 ///     (on_trace); the engine suspends the sender, fast-forwards the
 ///     receiver, and registers a fluid flow on the traced links.

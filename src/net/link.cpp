@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "net/node.hpp"
+#include "net/packet_pool.hpp"
 #include "prof/prof.hpp"
 #include "telemetry/hub.hpp"
 #include "telemetry/scope.hpp"
@@ -83,9 +84,9 @@ void Link::enqueue(PacketPtr pkt) {
     if (pkt->encap.present && pkt->encap.ecn.ect) {
       fresh_mark = !pkt->encap.ecn.ce;
       pkt->encap.ecn.ce = true;
-    } else if (!pkt->encap.present && pkt->tcp.ect) {
-      fresh_mark = !pkt->tcp.ce;
-      pkt->tcp.ce = true;
+    } else if (!pkt->encap.present && pkt->ecn.ect) {
+      fresh_mark = !pkt->ecn.ce;
+      pkt->ecn.ce = true;
     }
     if (fresh_mark) {
       ++stats_.ecn_marks;
@@ -107,12 +108,11 @@ void Link::start_tx() {
   queue_.pop_front();
   // A deep FIFO's packets were written long ago and have left the cache by
   // the time they reach the head. Prefetch the packet kPrefetchAhead places
-  // after this one, so the two lines a transmission reads (the head, for
-  // wire_size(), and htrace, checked in on_tx_done) are cached by its turn.
+  // after this one, so the one line a transmission reads (the packet's
+  // first: wire_size() here, the trace and INT flags in on_tx_done) is
+  // cached by its turn.
   if (queue_.size() >= kPrefetchAhead) {
-    const Packet* ahead = queue_[kPrefetchAhead - 1].get();
-    __builtin_prefetch(ahead);
-    __builtin_prefetch(&ahead->htrace);
+    __builtin_prefetch(queue_[kPrefetchAhead - 1].get());
   }
   const std::int64_t wire = in_flight_->wire_size();
   queue_bytes_ -= wire;
@@ -158,7 +158,7 @@ void Link::on_tx_done() {
     cells_.tx_bytes->add(static_cast<std::uint64_t>(wire));
   }
 
-  if (pkt->htrace.active) pkt->htrace.push(id_);
+  if (pkt->traced) PacketPool::of(sim_).cold(*pkt).trace.push(id_);
 
   if (cfg_.int_telemetry && pkt->int_stack.enabled) {
     if (fluid_rate_ > 0.0) {

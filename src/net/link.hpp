@@ -115,7 +115,7 @@ class Link {
         queue_bytes_ + fluid_queue_bytes_ < cfg_.ecn_threshold_bytes) {
       return false;
     }
-    return p.encap.present ? p.encap.ecn.ect : (!p.encap.present && p.tcp.ect);
+    return p.encap.present ? p.encap.ecn.ect : p.ecn.ect;
   }
 
   /// Enable/disable ECN marking post-construction (the topology builder

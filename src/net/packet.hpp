@@ -1,5 +1,6 @@
 #pragma once
 
+#include <algorithm>
 #include <array>
 #include <cstdint>
 #include <memory>
@@ -22,7 +23,7 @@ inline constexpr IpAddr kIpNone = 0xffffffffu;
 enum class Proto : std::uint8_t {
   kTcp = 6,
   kStt = 97,        ///< overlay encapsulation carrier (modeled on STT/TCP)
-  kProbe = 253,     ///< traceroute path-discovery probe
+  kProbe = 253,     ///< traceroute path-discovery probe (its inner proto)
   kProbeReply = 254 ///< TTL-expiry or destination reply to a probe
 };
 
@@ -101,23 +102,19 @@ struct SackBlock {
 
 /// Inner (tenant VM) TCP header. Sequence numbers are 64-bit byte offsets —
 /// a simulation convenience that removes wrap-around handling without
-/// changing any of the dynamics the paper depends on.
+/// changing any of the dynamics the paper depends on. The SACK option
+/// blocks ride in the packet's cold record (Packet::Cold).
 struct TcpHeader {
-  // Flag bytes lead so the fields the switch datapath reads (ect/ce, for
-  // ECN marking of non-encapsulated packets) sit at the struct's front.
   TcpFlags flags{};
-  bool ect{false};            ///< inner ECN-capable transport
-  bool ce{false};             ///< inner congestion-experienced
-  std::uint8_t sack_count{0};
   std::uint64_t seq{0};       ///< first payload byte carried
   std::uint64_t ack{0};       ///< cumulative ack (next expected byte)
-  std::array<SackBlock, 3> sacks{};  ///< up to 3 SACK option blocks
 };
 
-/// ECN codepoint state carried in the (outer) IP header.
+/// ECN codepoint state carried in an IP header: the inner one (Packet::ecn)
+/// or the outer one (EncapHeader::ecn). Both bits share one byte.
 struct EcnBits {
-  bool ect{false};  ///< ECN-capable transport
-  bool ce{false};   ///< congestion experienced
+  bool ect : 1 {false};  ///< ECN-capable transport
+  bool ce : 1 {false};   ///< congestion experienced
 };
 
 /// Clove metadata carried in reserved STT-context bits of reverse traffic
@@ -125,21 +122,21 @@ struct EcnBits {
 /// plus either a congestion bit (Clove-ECN) or a utilization value
 /// (Clove-INT) or a one-way delay (Clove-Latency extension).
 struct CloveFeedback {
-  bool present{false};
+  double util{0.0};            ///< Clove-INT: max link utilization on path
+  sim::Time latency{0};        ///< Clove-Latency: one-way delay measured
   std::uint16_t port{0};       ///< encapsulation source port being reported
+  bool present{false};
   bool ecn_set{false};         ///< Clove-ECN: forward path saw CE
   bool has_util{false};
-  double util{0.0};            ///< Clove-INT: max link utilization on path
   bool has_latency{false};
-  sim::Time latency{0};        ///< Clove-Latency: one-way delay measured
 };
 
 /// CONGA VXLAN-style fields (simulation of the custom ASIC header):
 /// forward direction carries (src_leaf, lb_tag, ce); feedback direction
 /// carries (fb_tag, fb_ce) piggybacked on reverse traffic.
 struct CongaFields {
-  bool present{false};
   std::uint32_t src_leaf{0};
+  bool present{false};
   std::uint8_t lb_tag{0};   ///< uplink chosen at the source leaf
   std::uint8_t ce{0};       ///< max quantized congestion along path so far
   bool fb_present{false};
@@ -147,43 +144,47 @@ struct CongaFields {
   std::uint8_t fb_ce{0};
 };
 
-/// In-band Network Telemetry stack: per-hop egress utilization samples.
+/// In-band Network Telemetry: per-hop egress utilization samples. Its one
+/// reader (Clove-INT's relay) wants the path maximum, so the stack keeps a
+/// running maximum of the first kMaxHops samples — what a kMaxHops-entry
+/// stack would report — instead of the samples themselves.
 struct IntStack {
   static constexpr int kMaxHops = 8;
   bool enabled{false};
   std::uint8_t count{0};
-  std::array<float, kMaxHops> util{};
+  float max{0.f};
 
   void push(float u) {
-    if (count < kMaxHops) util[count++] = u;
+    if (count < kMaxHops) {
+      max = std::max(max, u);
+      ++count;
+    }
   }
-  [[nodiscard]] float max_util() const {
-    float m = 0.f;
-    for (int i = 0; i < count; ++i) m = std::max(m, util[i]);
-    return m;
-  }
+  [[nodiscard]] float max_util() const { return max; }
 };
 
 /// Outer (overlay encapsulation) header: an STT-like tunnel header whose
 /// source port is the knob Clove turns, plus context bits for feedback.
 struct EncapHeader {
-  bool present{false};
+  // tuple / present / ecn lead: they are what a forwarding hop reads, and
+  // they must fall inside Packet's first cache line.
   FiveTuple tuple{};           ///< outer 5-tuple (hypervisor to hypervisor)
+  bool present{false};
   EcnBits ecn{};               ///< outer IP ECN bits
-  CloveFeedback feedback{};    ///< STT-context feedback bits
   std::uint32_t flowcell_id{0};   ///< Presto: monotonically increasing per flow
+  CloveFeedback feedback{};    ///< STT-context feedback bits
   std::uint64_t flow_hash{0};     ///< Presto: id of the inner flow
 };
 
 /// Presto / traceroute / host-level auxiliary metadata.
 struct ProbeInfo {
   std::uint32_t probe_id{0};   ///< groups the TTL-laddered packets of a probe
-  std::uint16_t probed_port{0};///< the encap source port under test
-  std::uint8_t hop_index{0};   ///< set by the replying switch
   IpAddr hop_ip{kIpNone};      ///< node that answered (switch node id)
   std::int32_t hop_ingress{-1};///< ingress port the probe arrived on — the
                                ///< per-interface address real traceroute
                                ///< sees, distinguishing parallel links
+  std::uint16_t probed_port{0};///< the encap source port under test
+  std::uint8_t hop_index{0};   ///< set by the replying switch
   bool from_destination{false};///< reply came from the final hypervisor
 };
 
@@ -199,17 +200,30 @@ struct RewriteInfo {
 /// serialization: the simulator dispatches on these fields exactly where a
 /// real datapath would parse them.
 struct Packet {
-  // Field order is a performance contract, not taxonomy: everything a
-  // forwarding hop reads — the inner 5-tuple, payload size, TTL, the cached
-  // wire hash, and the leading fields of EncapHeader (present / tuple / ecn)
-  // — packs into the first cache line. With thousands of packets in flight a
-  // fabric hop is memory-bound, and this keeps it to one line miss per
-  // packet instead of four (measured on bench_fabric_forwarding).
+  // Field order is a performance contract, not taxonomy. Everything a
+  // forwarding hop reads packs into the first cache line: the inner
+  // 5-tuple (whose proto also tells a traceroute probe, Proto::kProbe,
+  // from data), payload size, the INT stack, TTL, the inner ECN bits, the
+  // hybrid trace flag, the cached wire hash, and the leading fields of
+  // EncapHeader (tuple / present / ecn). Discovery holds ~10^5 packets in
+  // flight at once, so the struct's size is the simulator's memory
+  // footprint; the cold tail is ordered by alignment to leave no holes,
+  // and state only a few packets need lives out of line (Cold, below).
+  // PacketLayout.HopFieldsInFirstLine and the static_assert after the
+  // struct hold both properties.
 
   // --- forwarding-hot line ----------------------------------------------
   FiveTuple inner{};           ///< VM-to-VM 5-tuple
   std::uint32_t payload{0};    ///< tenant payload bytes
+  IntStack int_stack{};
   std::uint8_t ttl{64};
+  EcnBits ecn{};               ///< inner IP ECN bits (marked when unencapped)
+  /// Hybrid path capture (clove::hybrid): set on a promotion candidate's
+  /// flagged data segment; every Link it serializes on appends its id to
+  /// the packet's Cold::trace, and the destination hypervisor reports the
+  /// captured path so the fluid model charges the exact links the flowlet
+  /// traversed.
+  bool traced{false};
 
  private:
   // --- forwarding fast-path cache (see wire_hash() below) ----------------
@@ -221,24 +235,28 @@ struct Packet {
 
   // --- endpoint / scheme-specific headers -------------------------------
   TcpHeader tcp{};
-  RewriteInfo rewrite{};
+
+ private:
+  std::uint32_t cold_{0};      ///< PacketPool handle of a Cold record; 0: none
+
+ public:
   ProbeInfo probe{};
   CongaFields conga{};
-  IntStack int_stack{};
+  RewriteInfo rewrite{};
 
   // --- bookkeeping ------------------------------------------------------
   sim::Time sent_at{0};        ///< timestamp at first NIC transmission
   std::uint64_t uid{0};        ///< unique id for tracing
 
-  /// Path trace for the hybrid flow/packet engine (clove::hybrid): when a
-  /// flow is a promotion candidate, its next data segment is flagged and
-  /// every Link it serializes on appends its id here. The destination
-  /// hypervisor reports the captured path so the fluid model charges the
-  /// exact links the flowlet actually traversed. Cold — only candidates
-  /// carry it, and it sits past the bookkeeping tail of the struct.
+  Packet() = default;
+  // A copy would share the cold record's handle, and both copies would
+  // return it to the pool.
+  Packet(const Packet&) = delete;
+  Packet& operator=(const Packet&) = delete;
+
+  /// The links a traced segment serialized on (see `traced`).
   struct HybridTrace {
     static constexpr int kMaxLinks = 12;
-    bool active{false};
     std::uint8_t count{0};
     std::array<std::uint32_t, kMaxLinks> links{};
 
@@ -250,7 +268,17 @@ struct Packet {
     }
     [[nodiscard]] bool overflowed() const { return count > kMaxLinks; }
   };
-  HybridTrace htrace{};
+
+  /// Per-packet state only a few packets carry: the SACK option of an ACK
+  /// that reports out-of-order data, and the path of a traced segment. It
+  /// lives out of line, in a record the packet's PacketPool owns and
+  /// recycles (PacketPool::cold / find_cold), so every other packet pays
+  /// only the 4-byte handle.
+  struct Cold {
+    std::array<SackBlock, 3> sacks{};  ///< SACK option blocks
+    std::uint8_t sack_count{0};
+    HybridTrace trace{};
+  };
 
   /// The 5-tuple physical switches hash for ECMP: the outer one when the
   /// packet is encapsulated, else the inner one.
@@ -283,7 +311,14 @@ struct Packet {
   [[nodiscard]] std::uint32_t wire_size() const { return payload + kHeaderBytes; }
 
   [[nodiscard]] std::string to_string() const;
+
+ private:
+  friend class PacketPool;         // owns cold_
+  friend struct PacketLayoutPeer;  // the layout test reads the cache's place
 };
+
+// Three cache lines, so ~10^5 packets in flight fit a 192-byte heap chunk.
+static_assert(sizeof(Packet) <= 192, "net::Packet must fit three cache lines");
 
 class PacketPool;
 

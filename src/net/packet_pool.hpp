@@ -1,6 +1,7 @@
 #pragma once
 
 #include <cstdint>
+#include <deque>
 #include <new>
 #include <vector>
 
@@ -18,6 +19,12 @@ namespace clove::net {
 /// packet that leaves the pool economy — released raw and rewrapped with a
 /// default-constructed deleter, as some tests do — is still safely
 /// `delete`able; it simply stops being recycled.
+///
+/// The pool also owns every packet's cold record (Packet::Cold): cold()
+/// hands one out on demand and release() takes it back with the packet, so
+/// records recycle through their own freelist with no steady-state heap
+/// traffic either. A packet that leaves the pool economy keeps its record
+/// reserved until the pool itself is destroyed, which frees it.
 ///
 /// Like the Simulator that owns it, a pool is single-threaded; parallel
 /// sweeps give every Simulator its own pool (see Simulator::extension()).
@@ -49,11 +56,39 @@ class PacketPool {
   }
 
   void release(Packet* p) noexcept {
+    if (p->cold_ != 0) {
+      free_cold_.push_back(p->cold_);  // cold() reserved room: no throw
+    }
     try {
       free_.push_back(p);
     } catch (...) {
       delete p;  // freelist growth failed; fall back to the heap path
     }
+  }
+
+  /// `p`'s cold record, taking a reset one from the pool if it has none.
+  /// References stay valid while later records are handed out.
+  Packet::Cold& cold(Packet& p) {
+    if (p.cold_ == 0) {
+      if (free_cold_.empty()) {
+        // Room for every handle up front, so release() never allocates.
+        if (free_cold_.capacity() <= cold_.size()) {
+          free_cold_.reserve(2 * cold_.size() + 8);
+        }
+        cold_.emplace_back();
+        p.cold_ = static_cast<std::uint32_t>(cold_.size());
+      } else {
+        p.cold_ = free_cold_.back();
+        free_cold_.pop_back();
+        cold_[p.cold_ - 1] = Packet::Cold{};
+      }
+    }
+    return cold_[p.cold_ - 1];
+  }
+
+  /// `p`'s cold record, or null when it carries none.
+  [[nodiscard]] const Packet::Cold* find_cold(const Packet& p) const {
+    return p.cold_ == 0 ? nullptr : &cold_[p.cold_ - 1];
   }
 
   /// Packets created with `new` over the pool's lifetime (the concurrency
@@ -76,6 +111,8 @@ class PacketPool {
 
  private:
   std::vector<Packet*> free_;
+  std::deque<Packet::Cold> cold_;           ///< handle h names cold_[h - 1]
+  std::vector<std::uint32_t> free_cold_;
   std::uint64_t next_uid_{0};
   std::uint64_t allocated_{0};
   std::uint64_t reused_{0};

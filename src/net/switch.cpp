@@ -30,7 +30,7 @@ void Switch::receive(PacketPtr pkt, int in_port) {
   }
   pkt->ttl--;
   if (pkt->ttl == 0) {
-    if (pkt->probe.probe_id != 0 && pkt->probe.hop_ip == kIpNone) {
+    if (pkt->inner.proto == Proto::kProbe) {
       send_probe_reply(*pkt, in_port);
       if (auto* fr = telemetry::flight()) {
         // The probe terminated here by design — a legitimate consumption,

@@ -1,6 +1,7 @@
 #include "overlay/hypervisor.hpp"
 
 #include "net/link.hpp"
+#include "net/packet_pool.hpp"
 #include "prof/prof.hpp"
 #include "telemetry/hub.hpp"
 #include "telemetry/scope.hpp"
@@ -141,8 +142,7 @@ void Hypervisor::vm_send(net::PacketPtr pkt) {
         net::FiveTuple{ip(), dst, port, kSttPort, net::Proto::kStt};
     pkt->encap.ecn.ect = policy_->wants_ect();
     pkt->encap.ecn.ce = false;
-    pkt->int_stack.enabled = policy_->wants_int();
-    pkt->int_stack.count = 0;
+    pkt->int_stack = net::IntStack{.enabled = policy_->wants_int()};
   } else {
     // §7 non-overlay mode: rewrite the tenant source port in place; the
     // original travels in TCP options and is restored at the destination.
@@ -150,9 +150,8 @@ void Hypervisor::vm_send(net::PacketPtr pkt) {
     pkt->rewrite.orig_src_port = pkt->inner.src_port;
     pkt->inner.src_port = port;
     // The fabric marks the inner header directly in this mode.
-    pkt->tcp.ect = pkt->tcp.ect || policy_->wants_ect();
-    pkt->int_stack.enabled = policy_->wants_int();
-    pkt->int_stack.count = 0;
+    pkt->ecn.ect = pkt->ecn.ect || policy_->wants_ect();
+    pkt->int_stack = net::IntStack{.enabled = policy_->wants_int()};
   }
   // The wire tuple is final for this traversal: compute the ECMP prehash
   // once here and let every switch on the path salt-finalize it.
@@ -264,7 +263,7 @@ void Hypervisor::receive(net::PacketPtr pkt, int /*in_port*/) {
     handle_probe_reply(*pkt);
     return;
   }
-  if (pkt->probe.probe_id != 0) {
+  if (pkt->inner.proto == net::Proto::kProbe) {
     handle_probe(std::move(pkt));
     return;
   }
@@ -296,8 +295,7 @@ void Hypervisor::handle_data(net::PacketPtr pkt) {
   net::IpAddr peer = net::kIpNone;
   // Hybrid path capture: remember the overlay port before decap wipes it;
   // the trace itself is reported after feedback processing, below.
-  const bool htrace_active = pkt->htrace.active;
-  const std::uint16_t htrace_port =
+  const std::uint16_t trace_port =
       pkt->encap.present ? pkt->encap.tuple.src_port : 0;
 
   if (pkt->encap.present) {
@@ -361,7 +359,7 @@ void Hypervisor::handle_data(net::PacketPtr pkt) {
       deliver_feedback(peer, pkt->encap.feedback);
       pkt->encap.feedback = net::CloveFeedback{};
     }
-    if (pkt->tcp.ce) {
+    if (pkt->ecn.ce) {
       // Inner marking reached us directly; treat like outer CE: record for
       // relay and mask from the VM.
       ++stats_.ce_intercepted;
@@ -369,7 +367,7 @@ void Hypervisor::handle_data(net::PacketPtr pkt) {
       const std::uint16_t fwd_port = pkt->inner.dst_port;
       note_feedback(peer, fwd_port,
                     [](PendingFeedback& fb) { fb.ecn_pending = true; });
-      pkt->tcp.ce = false;
+      pkt->ecn.ce = false;
     }
   }
 
@@ -397,13 +395,14 @@ void Hypervisor::handle_data(net::PacketPtr pkt) {
     pkt->tcp.flags.ece = true;
   }
 
-  if (htrace_active) {
-    pkt->htrace.active = false;
+  if (pkt->traced) {
+    pkt->traced = false;
     if (hybrid_ != nullptr) {
       // Report the links the flagged segment actually serialized on; the
       // engine promotes its flow here (suspending the sender and syncing
       // the receiver) before this — now stale — segment is delivered.
-      hybrid_->on_trace(*this, pkt->inner, pkt->htrace, htrace_port);
+      hybrid_->on_trace(*this, pkt->inner,
+                        net::PacketPool::of(sim_).cold(*pkt).trace, trace_port);
     }
   }
 
@@ -419,7 +418,7 @@ void Hypervisor::deliver_to_vm(net::PacketPtr pkt) {
     fr->on_vm_delivery(pkt->uid,
                        {pkt->inner.src_ip, pkt->inner.dst_ip,
                         pkt->inner.src_port, pkt->inner.dst_port},
-                       pkt->tcp.seq, pkt->payload, pkt->tcp.ce,
+                       pkt->tcp.seq, pkt->payload, pkt->ecn.ce,
                        reorder_ != nullptr || policy_->requires_reassembly(),
                        sim_.now());
   }

@@ -66,6 +66,7 @@ void TracerouteDaemon::start_round(std::uint32_t slot) {
       probe->encap.tuple = net::FiveTuple{self_, dst, port, kSttPort,
                                           net::Proto::kStt};
       probe->inner = probe->encap.tuple;  // probes carry no tenant payload
+      probe->inner.proto = net::Proto::kProbe;
       probe->payload = 0;
       probe->ttl = static_cast<std::uint8_t>(ttl);
       probe->probe.probe_id = r.id;
@@ -91,6 +92,7 @@ void TracerouteDaemon::keepalive(net::IpAddr dst, std::uint16_t port,
   probe->encap.tuple =
       net::FiveTuple{self_, dst, port, kSttPort, net::Proto::kStt};
   probe->inner = probe->encap.tuple;
+  probe->inner.proto = net::Proto::kProbe;
   probe->payload = 0;
   probe->ttl = 64;  // no ladder: only the destination's answer matters
   probe->probe.probe_id = id;

@@ -1,7 +1,9 @@
 #include "transport/tcp.hpp"
 
 #include <algorithm>
+#include <array>
 
+#include "net/packet_pool.hpp"
 #include "prof/prof.hpp"
 #include "sim/logging.hpp"
 #include "telemetry/hub.hpp"
@@ -159,11 +161,11 @@ void TcpSender::send_segment(std::uint64_t seq, std::uint32_t len,
   pkt->ttl = 64;
   pkt->sent_at = port_.simulator().now();
   if (trace_next_ && !retransmit && len > 0) {
-    pkt->htrace.active = true;
+    pkt->traced = true;
     trace_next_ = false;
   }
   if (cfg_.ecn) {
-    pkt->tcp.ect = true;
+    pkt->ecn.ect = true;
     if (cwr_pending_) {
       pkt->tcp.flags.cwr = true;
       cwr_pending_ = false;
@@ -181,7 +183,7 @@ void TcpSender::on_packet(net::PacketPtr pkt) {
   // trickle in below the (already advanced) snd_una; discard them all.
   if (hybrid_promoted_) return;
   if (!pkt->tcp.flags.ack) return;
-  on_ack(pkt->tcp);
+  on_ack(*pkt);
 }
 
 void TcpSender::on_path_evicted(net::IpAddr dst_ip, std::uint16_t port,
@@ -211,11 +213,14 @@ void TcpSender::on_path_evicted(net::IpAddr dst_ip, std::uint16_t port,
 // SACK scoreboard (RFC 6675-lite)
 // ---------------------------------------------------------------------------
 
-void TcpSender::merge_sack_blocks(const net::TcpHeader& hdr) {
-  for (int i = 0; i < hdr.sack_count; ++i) {
-    std::uint64_t s = std::max(hdr.sacks[static_cast<std::size_t>(i)].start,
+void TcpSender::merge_sack_blocks(const net::Packet& pkt) {
+  const net::Packet::Cold* opt =
+      net::PacketPool::of(port_.simulator()).find_cold(pkt);
+  const int n_blocks = opt != nullptr ? opt->sack_count : 0;
+  for (int i = 0; i < n_blocks; ++i) {
+    std::uint64_t s = std::max(opt->sacks[static_cast<std::size_t>(i)].start,
                                snd_una_);
-    std::uint64_t e = std::min(hdr.sacks[static_cast<std::size_t>(i)].end,
+    std::uint64_t e = std::min(opt->sacks[static_cast<std::size_t>(i)].end,
                                snd_nxt_);
     if (e <= s) continue;
     // Interval-merge [s, e) into the disjoint map.
@@ -375,7 +380,8 @@ void TcpSender::ecn_reduce() {
   ssthresh_ = cwnd_;
 }
 
-void TcpSender::on_ack(const net::TcpHeader& hdr) {
+void TcpSender::on_ack(const net::Packet& pkt) {
+  const net::TcpHeader& hdr = pkt.tcp;
   std::uint64_t ack = hdr.ack;
   const bool ece = hdr.flags.ece;
   if (ack > snd_nxt_) ack = snd_nxt_;  // corrupted/foreign; clamp
@@ -399,7 +405,7 @@ void TcpSender::on_ack(const net::TcpHeader& hdr) {
   if (ece && cfg_.ecn) ecn_reduce();
 
   if (ack < snd_una_) return;  // stale
-  if (cfg_.sack) merge_sack_blocks(hdr);
+  if (cfg_.sack) merge_sack_blocks(pkt);
   if (ack == snd_una_) {
     if (snd_una_ < snd_nxt_) handle_dupack();
     return;
@@ -639,7 +645,7 @@ void TcpReceiver::on_packet(net::PacketPtr pkt) {
   CLOVE_PROF_SCOPE(prof::kTransport);
   if (pkt->payload == 0) return;  // pure control; nothing to ack
 
-  const bool ce = pkt->tcp.ce;
+  const bool ce = pkt->ecn.ce;
   bool ecn_transition = false;
   if (cfg_.dctcp) {
     ecn_transition = (ce != last_pkt_ce_);
@@ -717,15 +723,24 @@ void TcpReceiver::do_send_ack() {
   }
   if (cfg_.sack) {
     // Attach up to 3 SACK blocks: the most recently received block first
-    // (RFC 2018), then older blocks ascending.
+    // (RFC 2018), then older blocks ascending. Only an ACK that carries
+    // blocks takes a cold record for them.
+    std::array<net::SackBlock, 3> blocks{};
+    std::uint8_t n = 0;
     if (last_block_.end > last_block_.start &&
         last_block_.start >= rcv_nxt_) {
-      ack->tcp.sacks[ack->tcp.sack_count++] = last_block_;
+      blocks[n++] = last_block_;
     }
     for (const auto& [s, e] : ooo_) {
-      if (ack->tcp.sack_count >= 3) break;
+      if (n >= 3) break;
       if (s == last_block_.start) continue;
-      ack->tcp.sacks[ack->tcp.sack_count++] = net::SackBlock{s, e};
+      blocks[n++] = net::SackBlock{s, e};
+    }
+    if (n > 0) {
+      net::Packet::Cold& opt =
+          net::PacketPool::of(port_.simulator()).cold(*ack);
+      opt.sacks = blocks;
+      opt.sack_count = n;
     }
   }
   port_.vm_send(std::move(ack));

@@ -161,7 +161,7 @@ class TcpSender : public TcpEndpoint {
   [[nodiscard]] bool hybrid_promoted() const { return hybrid_promoted_; }
 
   /// Flag the next outgoing data segment to capture its link-level path
-  /// (Packet::htrace) so the engine learns which links the current flowlet
+  /// (Packet::traced) so the engine learns which links the current flowlet
   /// rides before promoting.
   void hybrid_request_trace() { trace_next_ = true; }
 
@@ -189,10 +189,10 @@ class TcpSender : public TcpEndpoint {
  private:
   void try_send();
   void send_segment(std::uint64_t seq, std::uint32_t len, bool retransmit);
-  void on_ack(const net::TcpHeader& hdr);
+  void on_ack(const net::Packet& pkt);
   void handle_dupack();
   // --- SACK scoreboard ---
-  void merge_sack_blocks(const net::TcpHeader& hdr);
+  void merge_sack_blocks(const net::Packet& pkt);
   [[nodiscard]] std::uint64_t sacked_bytes() const;
   /// First unsacked hole at/above snd_una_ below the highest sacked byte
   /// that has not been retransmitted recently; 0-length when none. Holes

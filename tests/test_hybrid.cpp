@@ -8,6 +8,7 @@
 
 #include <algorithm>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "harness/experiment.hpp"
@@ -242,6 +243,68 @@ TEST_F(HybridPair, SameSeedRunsAreIdentical) {
   EXPECT_EQ(x.events, y.events);
   EXPECT_EQ(x.promotions, y.promotions);
   EXPECT_EQ(x.fluid_bytes, y.fluid_bytes);
+}
+
+/// One 400 KB a->b flow over a chain of `n_links` forward links (a, then
+/// n_links - 1 switches, then b). The ramp and remainder thresholds allow
+/// exactly one trace request: after a rejected trace the flow has too
+/// little left to ramp again.
+HybridStats run_chain(int n_links) {
+  sim::Simulator sim;
+  net::Topology topo(sim);
+  auto* a = topo.add_host<overlay::Hypervisor>(
+      "a", sim, overlay::HypervisorConfig{},
+      std::make_unique<lb::EcmpPolicy>());
+  auto* b = topo.add_host<overlay::Hypervisor>(
+      "b", sim, overlay::HypervisorConfig{},
+      std::make_unique<lb::EcmpPolicy>());
+  net::LinkConfig lc;
+  lc.rate_bytes_per_sec = sim::gbps_to_bytes_per_sec(10);
+  lc.propagation = 1 * sim::kMicrosecond;
+  net::Node* prev = a;
+  for (int i = 1; i < n_links; ++i) {
+    net::Node* sw = topo.add_switch("sw" + std::to_string(i));
+    topo.connect(prev, sw, lc);
+    prev = sw;
+  }
+  topo.connect(prev, b, lc);
+  topo.compute_routes();
+  HybridConfig hc;
+  hc.enabled = true;
+  hc.ramp_bytes = 100'000;
+  hc.min_remaining = 200'000;
+  hc.tail_bytes = 10'000;
+  Engine engine(sim, hc);
+  for (const auto& l : topo.links()) engine.add_link(l.get());
+  a->set_hybrid(&engine);
+  b->set_hybrid(&engine);
+  transport::TcpConfig tcfg;
+  tcfg.min_rto = 10 * sim::kMillisecond;
+  tcfg.ecn = true;
+  transport::TcpSender tx(
+      *a, net::FiveTuple{a->ip(), b->ip(), 9000, 80, net::Proto::kTcp}, tcfg);
+  a->register_endpoint(tx.tuple(), &tx);
+  bool done = false;
+  tx.write(400'000, [&](sim::Time) { done = true; });
+  sim.run();
+  EXPECT_TRUE(done);
+  return engine.stats();
+}
+
+TEST(HybridTrace, PathOfMaxLinksIsPromoted) {
+  const HybridStats st = run_chain(net::Packet::HybridTrace::kMaxLinks);
+  EXPECT_EQ(st.trace_requests, 1u);
+  EXPECT_EQ(st.trace_rejects, 0u);
+  EXPECT_EQ(st.promotions, 1u);
+}
+
+TEST(HybridTrace, PathLongerThanMaxLinksIsRejected) {
+  // One link more than the trace holds: the captured path overflows, so the
+  // engine must refuse it rather than charge a truncated path.
+  const HybridStats st = run_chain(net::Packet::HybridTrace::kMaxLinks + 1);
+  EXPECT_EQ(st.trace_requests, 1u);
+  EXPECT_EQ(st.trace_rejects, 1u);
+  EXPECT_EQ(st.promotions, 0u);
 }
 
 // --- A/B contract against the packet-exact simulator --------------------

@@ -92,12 +92,12 @@ TEST_F(LinkTest, MarksInnerHeaderWhenNotEncapped) {
   Link link(sim, 0, "l", &sink, 0, cfg());
   for (int i = 0; i < 9; ++i) {
     auto p = make_data(tuple(10, 1), 0, 1000);
-    p->tcp.ect = true;
+    p->ecn.ect = true;
     link.enqueue(std::move(p));
   }
   sim.run();
   EXPECT_GT(link.stats().ecn_marks, 0u);
-  EXPECT_TRUE(sink.received.back()->tcp.ce);
+  EXPECT_TRUE(sink.received.back()->ecn.ce);
 }
 
 TEST_F(LinkTest, EcnMarkingDisableable) {

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstddef>
+#include <memory>
 #include <set>
 #include <unordered_set>
 #include <vector>
@@ -12,6 +14,15 @@
 #include "test_util.hpp"
 
 namespace clove::net {
+
+/// Reads where the private wire-hash cache sits, for the layout test.
+struct PacketLayoutPeer {
+  static const void* hash(const Packet& p) { return &p.wire_hash_; }
+  static const void* hash_valid(const Packet& p) {
+    return &p.wire_hash_valid_;
+  }
+};
+
 namespace {
 
 TEST(FiveTuple, Equality) {
@@ -116,9 +127,59 @@ TEST(IntStack, CapsAtMaxHops) {
   EXPECT_EQ(s.count, IntStack::kMaxHops);
 }
 
+TEST(IntStack, IgnoresPushesPastMaxHops) {
+  // Only the first kMaxHops samples count: a larger sample from a hop past
+  // the cap must not raise the reported maximum.
+  IntStack s;
+  s.enabled = true;
+  for (int i = 0; i < IntStack::kMaxHops; ++i) s.push(0.25f);
+  s.push(0.9f);
+  EXPECT_EQ(s.count, IntStack::kMaxHops);
+  EXPECT_FLOAT_EQ(s.max_util(), 0.25f);
+}
+
 TEST(IntStack, EmptyMaxIsZero) {
   IntStack s;
   EXPECT_FLOAT_EQ(s.max_util(), 0.0f);
+}
+
+// ---------------------------------------------------------------------------
+// PacketLayout
+// ---------------------------------------------------------------------------
+
+TEST(PacketLayout, HopFieldsInFirstLine) {
+  // Every field a forwarding hop reads — Switch::receive/forward,
+  // Link::enqueue/start_tx/on_tx_done/deliver_front, Hypervisor::receive's
+  // dispatch — must end within the packet's first 64 bytes. Offsets come
+  // from address differences on a live pooled packet (Packet is not
+  // standard-layout, so offsetof is off the table).
+  sim::Simulator sim;
+  PacketPtr p = make_packet(sim);
+  const char* base = reinterpret_cast<const char*>(p.get());
+  struct Field {
+    const char* name;
+    const void* at;
+    std::size_t size;
+  };
+  const Field hot[] = {
+      {"inner (5-tuple, proto: the probe check)", &p->inner, sizeof(p->inner)},
+      {"payload", &p->payload, sizeof(p->payload)},
+      {"ttl", &p->ttl, sizeof(p->ttl)},
+      {"wire hash", PacketLayoutPeer::hash(*p), sizeof(std::uint64_t)},
+      {"wire hash valid", PacketLayoutPeer::hash_valid(*p), sizeof(bool)},
+      {"encap.tuple", &p->encap.tuple, sizeof(p->encap.tuple)},
+      {"encap.present", &p->encap.present, sizeof(p->encap.present)},
+      {"encap.ecn", &p->encap.ecn, sizeof(p->encap.ecn)},
+      {"ecn (inner ECT/CE)", &p->ecn, sizeof(p->ecn)},
+      {"traced", &p->traced, sizeof(p->traced)},
+      {"int_stack (enabled flag and running max)", &p->int_stack,
+       sizeof(p->int_stack)},
+  };
+  for (const Field& f : hot) {
+    const auto offset =
+        static_cast<std::size_t>(static_cast<const char*>(f.at) - base);
+    EXPECT_LE(offset + f.size, 64u) << f.name << " at byte " << offset;
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -142,6 +203,7 @@ TEST(PacketPool, ReusesReleasedPackets) {
 
 TEST(PacketPool, RecycledPacketsAreFullyReset) {
   sim::Simulator sim;
+  const Packet::Cold* first_record = nullptr;
   {
     auto p = make_packet(sim);
     p->payload = 1460;
@@ -149,7 +211,13 @@ TEST(PacketPool, RecycledPacketsAreFullyReset) {
     p->encap.present = true;
     p->tcp.seq = 999;
     p->int_stack.push(0.7f);
+    p->traced = true;
     p->sent_at = 42;
+    Packet::Cold& c = PacketPool::of(sim).cold(*p);
+    c.sacks[0] = SackBlock{1000, 2000};
+    c.sack_count = 1;
+    c.trace.push(7);
+    first_record = &c;
   }
   auto q = make_packet(sim);
   EXPECT_EQ(q->payload, 0u);
@@ -157,7 +225,38 @@ TEST(PacketPool, RecycledPacketsAreFullyReset) {
   EXPECT_FALSE(q->encap.present);
   EXPECT_EQ(q->tcp.seq, 0u);
   EXPECT_EQ(q->int_stack.count, 0);
+  EXPECT_FLOAT_EQ(q->int_stack.max_util(), 0.0f);
+  EXPECT_FALSE(q->traced);
   EXPECT_EQ(q->sent_at, 0);
+  // No SACK or trace record survives the recycle, and the record handed
+  // out next (the same one, recycled) is reset too.
+  EXPECT_EQ(PacketPool::of(sim).find_cold(*q), nullptr);
+  const Packet::Cold& c = PacketPool::of(sim).cold(*q);
+  EXPECT_EQ(&c, first_record);
+  EXPECT_EQ(c.sack_count, 0);
+  EXPECT_EQ(c.sacks[0].end, 0u);
+  EXPECT_EQ(c.trace.count, 0);
+}
+
+TEST(PacketPool, ColdRecordsRecycleWithoutGrowth) {
+  // Steady state: a stream of record-carrying packets, two alive at a time,
+  // keeps reusing the same two records instead of allocating new ones.
+  sim::Simulator sim;
+  auto& pool = PacketPool::of(sim);
+  std::set<const Packet::Cold*> records;
+  for (int round = 0; round < 100; ++round) {
+    auto a = make_packet(sim);
+    auto b = make_packet(sim);
+    Packet::Cold& ca = pool.cold(*a);
+    Packet::Cold& cb = pool.cold(*b);
+    ca.sack_count = 1;
+    cb.trace.push(3);
+    EXPECT_NE(&ca, &cb);
+    EXPECT_EQ(&pool.cold(*a), &ca);  // a packet keeps the record it has
+    records.insert(&ca);
+    records.insert(&cb);
+  }
+  EXPECT_EQ(records.size(), 2u);
 }
 
 TEST(PacketPool, UidsAreFreshAcrossReuse) {
@@ -193,6 +292,28 @@ TEST(PacketPool, ReleasedRawPointerIsPlainDeletable) {
   PacketPtr rewrapped(p.release());  // default deleter: no pool
   rewrapped.reset();                 // plain delete — must not touch the pool
   EXPECT_EQ(PacketPool::of(sim).free_count(), 0u);
+}
+
+TEST(PacketPool, ReleasedRawPacketLeavesItsColdRecordToThePool) {
+  // A packet with a SACK and trace record that leaves the pool economy is
+  // plain-deleted; its record stays reserved (never handed to another
+  // packet) until the pool is destroyed with the Simulator, which frees it.
+  // Run under ASan this shows neither a leak nor a use after free.
+  auto simulator = std::make_unique<sim::Simulator>();
+  auto& pool = PacketPool::of(*simulator);
+  auto p = make_packet(*simulator);
+  Packet::Cold& c = pool.cold(*p);
+  c.sack_count = 1;
+  c.trace.push(5);
+  PacketPtr rewrapped(p.release());  // default deleter: no pool
+  rewrapped.reset();
+  EXPECT_EQ(pool.free_count(), 0u);
+  for (int i = 0; i < 3; ++i) {
+    auto q = make_packet(*simulator);
+    EXPECT_NE(&pool.cold(*q), &c);  // the orphaned record is never reused
+  }
+  EXPECT_EQ(c.trace.count, 1);  // and still holds what it held
+  simulator.reset();  // destroys the pool and every record it owns
 }
 
 TEST(PacketPool, AttachesToSimulatorExtensionSlot) {

@@ -5,6 +5,7 @@
 
 #include <memory>
 
+#include "net/packet_pool.hpp"
 #include "sim/simulator.hpp"
 #include "test_util.hpp"
 #include "transport/tcp.hpp"
@@ -38,7 +39,16 @@ class SackReceiver : public ::testing::Test {
     rx->on_packet(clove::testutil::make_data(tuple(1, 2), seq, len));
   }
 
-  const net::TcpHeader& last_ack() const { return port.out.back()->tcp; }
+  const net::Packet& last_ack() const { return *port.out.back(); }
+  /// The last ACK's cold record; null when it carries no SACK blocks.
+  const net::Packet::Cold* last_record() {
+    return net::PacketPool::of(sim).find_cold(last_ack());
+  }
+  /// The last ACK's SACK option (empty when it carries no record).
+  net::Packet::Cold last_sack() {
+    const net::Packet::Cold* c = last_record();
+    return c != nullptr ? *c : net::Packet::Cold{};
+  }
 
   sim::Simulator sim;
   Capture port;
@@ -48,26 +58,27 @@ class SackReceiver : public ::testing::Test {
 TEST_F(SackReceiver, NoBlocksWhenInOrder) {
   deliver(0);
   ASSERT_FALSE(port.out.empty());
-  EXPECT_EQ(last_ack().sack_count, 0);
-  EXPECT_EQ(last_ack().ack, 1000u);
+  EXPECT_EQ(last_sack().sack_count, 0);
+  EXPECT_EQ(last_record(), nullptr);  // no blocks, no record
+  EXPECT_EQ(last_ack().tcp.ack, 1000u);
 }
 
 TEST_F(SackReceiver, ReportsOutOfOrderBlock) {
   deliver(2000);
   ASSERT_FALSE(port.out.empty());
-  ASSERT_EQ(last_ack().sack_count, 1);
-  EXPECT_EQ(last_ack().sacks[0].start, 2000u);
-  EXPECT_EQ(last_ack().sacks[0].end, 3000u);
-  EXPECT_EQ(last_ack().ack, 0u);
+  ASSERT_EQ(last_sack().sack_count, 1);
+  EXPECT_EQ(last_sack().sacks[0].start, 2000u);
+  EXPECT_EQ(last_sack().sacks[0].end, 3000u);
+  EXPECT_EQ(last_ack().tcp.ack, 0u);
 }
 
 TEST_F(SackReceiver, MostRecentBlockFirst) {
   deliver(2000);
   deliver(6000);
   deliver(4000);
-  ASSERT_GE(last_ack().sack_count, 2);
+  ASSERT_GE(last_sack().sack_count, 2);
   // The 4000 block arrived last, so it is reported first (RFC 2018).
-  EXPECT_EQ(last_ack().sacks[0].start, 4000u);
+  EXPECT_EQ(last_sack().sacks[0].start, 4000u);
 }
 
 TEST_F(SackReceiver, AtMostThreeBlocks) {
@@ -76,15 +87,15 @@ TEST_F(SackReceiver, AtMostThreeBlocks) {
   deliver(6000);
   deliver(8000);
   deliver(10000);
-  EXPECT_LE(last_ack().sack_count, 3);
+  EXPECT_LE(last_sack().sack_count, 3);
 }
 
 TEST_F(SackReceiver, BlocksClearWhenGapFills) {
   deliver(2000);
   deliver(1000);
   deliver(0);
-  EXPECT_EQ(last_ack().ack, 3000u);
-  EXPECT_EQ(last_ack().sack_count, 0);
+  EXPECT_EQ(last_ack().tcp.ack, 3000u);
+  EXPECT_EQ(last_record(), nullptr);
 }
 
 TEST_F(SackReceiver, DisabledSackSendsNoBlocks) {
@@ -93,7 +104,7 @@ TEST_F(SackReceiver, DisabledSackSendsNoBlocks) {
   cfg.ack_every = 1;
   rx = std::make_unique<TcpReceiver>(port, tuple(1, 2).reversed(), cfg);
   deliver(2000);
-  EXPECT_EQ(last_ack().sack_count, 0);
+  EXPECT_EQ(last_record(), nullptr);
 }
 
 // ---------------------------------------------------------------------------

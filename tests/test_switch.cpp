@@ -83,6 +83,7 @@ TEST_F(SwitchFixture, TtlSurvivesWhenAboveOne) {
 TEST_F(SwitchFixture, ProbeTtlExpiryGeneratesReply) {
   auto p = make_data(tuple(sinks[3]->ip(), sinks[0]->ip()), 0, 0);
   p->ttl = 1;
+  p->inner.proto = Proto::kProbe;
   p->probe.probe_id = 77;
   p->probe.probed_port = 5555;
   p->probe.hop_index = 1;

@@ -44,7 +44,7 @@ class TcpPipe : public ::testing::Test {
         return;  // lost
       }
       if (drop_every > 0 && data_seen % drop_every == 0) return;
-      if (mark_all_data && pkt->tcp.ect) pkt->tcp.ce = true;
+      if (mark_all_data && pkt->ecn.ect) pkt->ecn.ce = true;
     }
     // Deliver to the opposite endpoint after the one-way delay. The shared_ptr
     // holder keeps the callable copyable for std::function while still freeing
