@@ -23,13 +23,13 @@
 #include "harness/experiment.hpp"
 #include "prof/prof.hpp"
 #include "telemetry/artifact.hpp"
-#include "telemetry/hub.hpp"
+#include "telemetry/scope.hpp"
 
 namespace clove::bench {
 
 /// Collects every point a bench sweeps and, when CLOVE_JSON_OUT is set,
-/// writes `<dir>/<bench>.json` on destruction. Constructing one enables the
-/// telemetry hub when artifacts are requested, so snapshots carry data.
+/// writes `<dir>/<bench>.json` on destruction. Constructing one enables
+/// telemetry when artifacts are requested, so snapshots carry data.
 /// current() is the most recently constructed instance.
 class Artifact {
  public:
@@ -50,7 +50,7 @@ class Artifact {
     // Artifacts without telemetry would carry all-zero counters; requesting
     // JSON output implies wanting the instrumented values.
     if (!telemetry::json_out_dir().empty()) {
-      telemetry::hub().set_enabled(true);
+      telemetry::current_scope().set_enabled(true);
     }
     current_ = this;
   }

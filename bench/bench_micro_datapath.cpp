@@ -26,7 +26,7 @@
 #include "overlay/flowlet.hpp"
 #include "sim/simulator.hpp"
 #include "telemetry/dre.hpp"
-#include "telemetry/hub.hpp"
+#include "telemetry/scope.hpp"
 
 // --- allocation counting ---------------------------------------------------
 // Program-wide operator new/delete override counting every heap allocation,
@@ -153,19 +153,20 @@ void BM_PickPort_Presto(benchmark::State& state) {
 BENCHMARK(BM_PickPort_Presto);
 
 // --- telemetry overhead ----------------------------------------------------
-// The hub must be free when disabled (one predictable branch on the hot
+// Telemetry must be free when disabled (one predictable branch on the hot
 // path) and cheap when enabled. Compare the *_Telemetry variants against
 // their plain counterparts above: the disabled delta is the §4 "minimal
 // overhead" claim for the instrumentation itself.
 
-/// RAII: run one benchmark with the hub enabled, restore the default after.
+/// RAII: run one benchmark with telemetry enabled, restore the default after.
 struct ScopedTelemetry {
-  explicit ScopedTelemetry(bool on) : was_(telemetry::hub().is_enabled()) {
-    telemetry::hub().set_enabled(on);
+  explicit ScopedTelemetry(bool on)
+      : was_(telemetry::current_scope().is_enabled()) {
+    telemetry::current_scope().set_enabled(on);
   }
   ~ScopedTelemetry() {
-    telemetry::hub().set_enabled(was_);
-    telemetry::hub().begin_run();
+    telemetry::current_scope().set_enabled(was_);
+    telemetry::current_scope().begin_run();
   }
   bool was_;
 };
@@ -181,7 +182,8 @@ void BM_TelemetryGuard_Disabled(benchmark::State& state) {
   // The cost instrumented components pay when telemetry is off: one load +
   // branch around the (skipped) counter add.
   ScopedTelemetry t(false);
-  telemetry::Counter* c = telemetry::hub().metrics().counter("bench.guard");
+  telemetry::Counter* c =
+      telemetry::current_scope().metrics().counter("bench.guard");
   for (auto _ : state) {
     if (telemetry::enabled()) c->add();
     benchmark::DoNotOptimize(c);
@@ -191,7 +193,8 @@ BENCHMARK(BM_TelemetryGuard_Disabled);
 
 void BM_TelemetryCounterAdd_Enabled(benchmark::State& state) {
   ScopedTelemetry t(true);
-  telemetry::Counter* c = telemetry::hub().metrics().counter("bench.guard");
+  telemetry::Counter* c =
+      telemetry::current_scope().metrics().counter("bench.guard");
   for (auto _ : state) {
     if (telemetry::enabled()) c->add();
     benchmark::DoNotOptimize(c);
@@ -202,7 +205,7 @@ BENCHMARK(BM_TelemetryCounterAdd_Enabled);
 void BM_TelemetryHistogramObserve(benchmark::State& state) {
   ScopedTelemetry t(true);
   telemetry::Histogram* h =
-      telemetry::hub().metrics().histogram("bench.histogram");
+      telemetry::current_scope().metrics().histogram("bench.histogram");
   double v = 1.0;
   for (auto _ : state) {
     v = v < 1e6 ? v * 1.37 : 1.0;
@@ -211,20 +214,6 @@ void BM_TelemetryHistogramObserve(benchmark::State& state) {
   benchmark::DoNotOptimize(h);
 }
 BENCHMARK(BM_TelemetryHistogramObserve);
-
-void BM_TraceRecord(benchmark::State& state) {
-  ScopedTelemetry t(true);
-  sim::Time now = 0;
-  std::uint64_t id = 0;
-  for (auto _ : state) {
-    now += 1000;
-    telemetry::trace(telemetry::Category::kFlowlet, now, "bench",
-                     "bench.event", {}, 1.0, id++);
-  }
-  state.counters["dropped_oldest"] = static_cast<double>(
-      telemetry::hub().trace().dropped_oldest());
-}
-BENCHMARK(BM_TraceRecord);
 
 void BM_CloveEcnFeedback(benchmark::State& state) {
   lb::CloveEcnPolicy p;
@@ -375,7 +364,7 @@ int main(int argc, char** argv) {
   // The Artifact enables telemetry for figure benches; here it would skew the
   // plain (telemetry-off) datapath numbers, and the *_Telemetry benchmarks
   // scope their own enablement anyway.
-  clove::telemetry::hub().set_enabled(false);
+  clove::telemetry::current_scope().set_enabled(false);
   ArtifactReporter reporter;
   benchmark::RunSpecifiedBenchmarks(&reporter);
   benchmark::Shutdown();

@@ -38,7 +38,7 @@
 #include "overlay/paths.hpp"
 #include "prof/prof.hpp"
 #include "sim/simulator.hpp"
-#include "telemetry/hub.hpp"
+#include "telemetry/scope.hpp"
 #include "workload/client_server.hpp"
 #include "workload/flow_size.hpp"
 
@@ -275,7 +275,7 @@ int main() {
   // leg-dependent in CI's matrix; the per-topology scale_k*.events_per_sec
   // rows are the throughput guard for this bench.
   artifact.set_mirror_engine_rate(false);
-  telemetry::hub().set_enabled(false);
+  telemetry::current_scope().set_enabled(false);
 
   const int rounds = rounds_from_env();
   std::printf("== engine scale observatory ==\n");

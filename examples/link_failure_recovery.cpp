@@ -8,11 +8,12 @@
 // story from packet provenance alone: per-spine byte/flowlet shares per
 // time bucket show the traffic draining off S2 after the failure, and the
 // invariant auditors confirm nothing vanished or reached a VM out of
-// order while routes churned. With CLOVE_JSON_OUT set the capture is
-// exported as JSONL + chrome://tracing JSON + flight artifacts.
+// order while routes churned. The weight-share lines read the policy's
+// live WRR weights (CloveEcnPolicy::weights()) every 200ms. With
+// CLOVE_JSON_OUT set the flight summary and per-flow records are exported.
 //
 //   ./link_failure_recovery
-//   CLOVE_JSON_OUT=out ./link_failure_recovery   # also dump trace files
+//   CLOVE_JSON_OUT=out ./link_failure_recovery   # also write flight artifacts
 
 #include <cstdio>
 #include <map>
@@ -25,7 +26,6 @@
 #include "stats/timeseries.hpp"
 #include "telemetry/artifact.hpp"
 #include "telemetry/flight_recorder.hpp"
-#include "telemetry/hub.hpp"
 #include "telemetry/scope.hpp"
 #include "workload/client_server.hpp"
 
@@ -50,15 +50,6 @@ int main() {
   cfg.fault_plan.route_convergence = 30 * sim::kMillisecond;
   cfg.fault_plan.add(fail_at, fault::FaultKind::kLinkDown, "L2->S2#0");
 
-  // Capture the decisions that tell the recovery story: WRR weight updates,
-  // topology changes and TCP loss recovery. (Feedback/flowlet events run to
-  // millions here and would evict the interesting window from the ring.)
-  telemetry::hub().set_enabled(true);
-  telemetry::hub().trace().set_capacity(1u << 18);
-  telemetry::hub().trace().set_filter(
-      static_cast<unsigned>(telemetry::Category::kWeight) |
-      static_cast<unsigned>(telemetry::Category::kTopology) |
-      static_cast<unsigned>(telemetry::Category::kTcp));
   // Flight recorder in sampled mode: flow/flowlet records and the invariant
   // auditors cover every packet; hop-by-hop journeys (which attribute bytes
   // to physical paths) track every 4th packet — plenty for share estimates.
@@ -67,7 +58,7 @@ int main() {
   fc.sample_every = 4;
   fc.usage_bucket = 100 * sim::kMillisecond;
   telemetry::current_scope().set_flight_config(fc);
-  telemetry::hub().begin_run();
+  telemetry::current_scope().begin_run();
 
   harness::Testbed tb(cfg);
   tb.start_discovery();
@@ -218,19 +209,6 @@ int main() {
   // per-packet path provenance instead of policy internals — per-spine
   // byte/flowlet shares per 100ms bucket, then the invariant audits.
   // -------------------------------------------------------------------
-  const telemetry::TraceLog& ring = telemetry::hub().trace();
-  std::printf("\ntrace ring: %llu events captured (%llu recorded, %llu "
-              "overwritten)\n",
-              static_cast<unsigned long long>(ring.size()),
-              static_cast<unsigned long long>(ring.recorded_total()),
-              static_cast<unsigned long long>(ring.dropped_oldest()));
-  for (const auto* ev :
-       ring.events(static_cast<unsigned>(telemetry::Category::kTopology))) {
-    std::printf("  [topology] t=%-10s %-22s %s\n",
-                sim::format_time(ev->t).c_str(), ev->name.c_str(),
-                ev->detail.c_str());
-  }
-
   telemetry::FlightRecorder* fr = telemetry::flight();
   const std::uint32_t s2_id = tb.fabric().spines[1]->id();
 
@@ -293,13 +271,9 @@ int main() {
               static_cast<unsigned long long>(fs.audit.ecn_mask),
               fs.audit.total() == 0 ? "  [all clean]" : "  [VIOLATIONS]");
 
-  // Optional machine-readable exports of the full capture.
+  // Optional machine-readable exports of the flight capture.
   const std::string out_dir = telemetry::json_out_dir();
   if (!out_dir.empty()) {
-    const std::string jsonl = telemetry::write_text_artifact(
-        out_dir, "link_failure_trace.jsonl", ring.to_jsonl());
-    const std::string chrome = telemetry::write_text_artifact(
-        out_dir, "link_failure_trace.chrome.json", ring.to_chrome_trace());
     telemetry::Json doc = fs.to_json();
     telemetry::Json names = telemetry::Json::object();
     for (const telemetry::PathUsage& pu : fs.paths)
@@ -309,9 +283,8 @@ int main() {
         out_dir, "FLIGHT_link_failure", doc);
     const std::string flows = telemetry::write_text_artifact(
         out_dir, "link_failure_flows.jsonl", fr->flows_jsonl());
-    std::printf("\ntrace exports: %s\n               %s\n"
-                "               %s\n               %s\n",
-                jsonl.c_str(), chrome.c_str(), flight.c_str(), flows.c_str());
+    std::printf("\nflight exports: %s\n                %s\n", flight.c_str(),
+                flows.c_str());
   }
   return 0;
 }

@@ -39,8 +39,11 @@ def fmt_ns(ns):
     return f"{ns:.0f} ns"
 
 
-def summarize_profile(tag, sp, top, problems):
-    """Print one self_profile section; append strict violations to problems."""
+def summarize_profile(tag, sp, top, problems, rss_mb=None):
+    """Print one self_profile section; append strict violations to problems.
+
+    rss_mb is the enclosing artifact's engine.peak_rss_mb, when there is one.
+    """
     mode = sp.get("mode", "?")
     overflows = sp.get("stack_overflows", 0)
     total_self = sp.get("profiled_self_ns", 0)
@@ -52,8 +55,8 @@ def summarize_profile(tag, sp, top, problems):
               f"{eng.get('queue_hwm', 0):,.0f}, slab "
               f"{eng.get('event_slab_capacity', 0):,.0f}, pool "
               f"{eng.get('pool_allocated', 0):,.0f} alloc / "
-              f"{eng.get('pool_reused', 0):,.0f} reused, peak rss "
-              f"{eng.get('peak_rss_mb', 0):.1f} MB")
+              f"{eng.get('pool_reused', 0):,.0f} reused"
+              + (f", peak rss {rss_mb:.1f} MB" if rss_mb is not None else ""))
     scopes = sp.get("scopes", [])
     ranked = sorted(scopes, key=lambda s: -s.get("self_ns", 0))
     if ranked:
@@ -165,13 +168,16 @@ def main(argv):
             except (OSError, json.JSONDecodeError):
                 continue  # not ours (journey JSONL etc.)
             sp = None
+            rss_mb = None
             if isinstance(doc, dict):
-                sp = doc.get("engine", {}).get("self_profile") \
-                    if isinstance(doc.get("engine"), dict) else None
+                eng = doc.get("engine")
+                if isinstance(eng, dict):
+                    sp = eng.get("self_profile")
+                    rss_mb = eng.get("peak_rss_mb")
                 if sp is None and "profiled_self_ns" in doc:
                     sp = doc  # a bare self-profile dump
             if sp is not None:
-                summarize_profile(name, sp, top, problems)
+                summarize_profile(name, sp, top, problems, rss_mb)
                 profiles += 1
         elif name.startswith("PROF_") and name.endswith(".folded"):
             summarize_folded(path, top, problems)

@@ -6,9 +6,7 @@
 
 #include "overlay/hypervisor.hpp"
 #include "sim/logging.hpp"
-#include "telemetry/hub.hpp"
 #include "telemetry/scope.hpp"
-#include "telemetry/trace.hpp"
 
 namespace clove::fault {
 
@@ -178,7 +176,7 @@ FaultPlan FaultPlan::from_env(std::string* error) {
 
 FaultInjector::FaultInjector(net::Topology& topo, FaultPlan plan)
     : topo_(topo), plan_(std::move(plan)) {
-  auto& reg = telemetry::hub().metrics();
+  auto& reg = telemetry::current_scope().metrics();
   applied_cell_ = reg.counter("clove.fault.events_applied");
   recompute_cell_ = reg.counter("clove.fault.route_recomputes");
 }
@@ -254,11 +252,6 @@ void FaultInjector::apply(const FaultEvent& ev) {
   }
   ++stats_.events_applied;
   if (telemetry::enabled()) applied_cell_->add();
-  if (telemetry::tracing()) {
-    telemetry::trace(telemetry::Category::kFault, now, ev.target,
-                     std::string("fault.") + fault_kind_name(ev.kind), "",
-                     ev.value);
-  }
 }
 
 void FaultInjector::toggle_link(net::Link* l, bool down) {

@@ -14,7 +14,6 @@
 #include "prof/prof.hpp"
 #include "sim/logging.hpp"
 #include "telemetry/artifact.hpp"
-#include "telemetry/hub.hpp"
 #include "telemetry/scope.hpp"
 
 namespace clove::harness {
@@ -301,9 +300,9 @@ std::uint64_t Testbed::total_ecn_marks() const {
 
 ExperimentResult run_fct_experiment(const ExperimentConfig& cfg,
                                     const workload::ClientServerConfig& wl_in) {
-  // Scope the telemetry registry/trace to this run so snapshots are per-run
+  // Scope the metrics and flight recorder to this run so snapshots are per-run
   // counters, not process-lifetime accumulations.
-  telemetry::hub().begin_run();
+  telemetry::current_scope().begin_run();
   Testbed tb(cfg);
   tb.start_discovery();
 
@@ -365,7 +364,7 @@ ExperimentResult run_fct_experiment(const ExperimentConfig& cfg,
     // The snapshot walks every registered metric cell: attribute it to the
     // telemetry scope so observability overhead shows up in the profile.
     CLOVE_PROF_SCOPE(prof::kTelemetry);
-    r.metrics = telemetry::hub().metrics().snapshot();
+    r.metrics = telemetry::current_scope().metrics().snapshot();
   }
   if (auto* fr = telemetry::flight()) {
     // Summarize (this runs the conservation audit) and, when the artifact
@@ -400,7 +399,7 @@ ExperimentResult run_fct_experiment(const ExperimentConfig& cfg,
 
 ExperimentResult run_incast_experiment(const ExperimentConfig& cfg,
                                        const workload::IncastConfig& wl_in) {
-  telemetry::hub().begin_run();
+  telemetry::current_scope().begin_run();
   Testbed tb(cfg);
   tb.start_discovery();
 

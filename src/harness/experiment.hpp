@@ -105,8 +105,8 @@ struct ExperimentResult {
   double goodput_gbps{0.0};
   /// This run's per-flow FCT samples, for percentiles and CDFs (Fig. 9).
   std::shared_ptr<stats::FctRecorder> fct;
-  /// Telemetry registry snapshot taken at run end (empty values when the
-  /// telemetry hub is disabled; see CLOVE_TELEMETRY).
+  /// Telemetry registry snapshot taken at run end (empty values when
+  /// telemetry is disabled; see CLOVE_TELEMETRY).
   telemetry::MetricsSnapshot metrics;
   /// Flight-recorder digest (mode kOff when CLOVE_FLIGHT_RECORDER is unset):
   /// journey/provenance counts, per-path usage, audit verdicts.

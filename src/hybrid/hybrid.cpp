@@ -7,7 +7,6 @@
 #include <string>
 
 #include "prof/prof.hpp"
-#include "telemetry/hub.hpp"
 
 namespace clove::hybrid {
 
@@ -187,11 +186,6 @@ void Engine::on_trace(HostAdapter& dst_host, const net::FiveTuple& inner,
   f->pos = static_cast<double>(s->snd_una());
   flows_.push_back(std::move(f));
   ++stats_.promotions;
-  if (telemetry::tracing()) {
-    telemetry::trace(telemetry::Category::kTcp, sim_.now(), inner.to_string(),
-                     "hybrid.promote", "",
-                     static_cast<double>(flows_.size()));
-  }
   solve();
   reschedule();
 }
@@ -245,10 +239,6 @@ void Engine::demote_at(std::size_t i, DemoteReason reason) {
   f->receiver->hybrid_sync(f->sender->snd_una());
   if (auto ait = adopted_.find(f->sender); ait != adopted_.end()) {
     ait->second.clean_bytes = 0;
-  }
-  if (telemetry::tracing()) {
-    telemetry::trace(telemetry::Category::kTcp, now, f->tuple.to_string(),
-                     "hybrid.demote", "", static_cast<double>(reason));
   }
   // Promotion spans many RTTs — far past the flowlet gap — so the first
   // resumed packet opens a fresh flowlet and re-runs the path decision.

@@ -1,10 +1,7 @@
 #include "lb/clove_ecn.hpp"
 
 #include <algorithm>
-#include <cstdio>
 #include <unordered_map>
-
-#include "telemetry/hub.hpp"
 
 namespace clove::lb {
 
@@ -40,20 +37,6 @@ void CloveEcnPolicy::on_paths_updated(net::IpAddr dst,
   }
   if (total > 0.0) {
     for (auto& p : st.paths) p.weight /= total;
-  }
-
-  // Announce the new port->path mapping so trace consumers can retire ports
-  // from earlier discovery rounds; `via` is the spine the path crosses.
-  // on_paths_updated has no time argument (discovery drives it), so the
-  // events carry the last data-path timestamp this policy has seen.
-  if (telemetry::tracing()) {
-    for (const auto& p : st.paths) {
-      char detail[48];
-      std::snprintf(detail, sizeof(detail), "dst %u via %u remap", dst,
-                    p.info.hops.size() > 1 ? p.info.hops[1].node : 0);
-      telemetry::trace(telemetry::Category::kWeight, last_now_, owner(),
-                       "clove.weight", detail, p.weight, p.info.port);
-    }
   }
 }
 
@@ -110,7 +93,6 @@ sim::Time CloveEcnPolicy::gap_for(const DstState* st) const {
 std::uint16_t CloveEcnPolicy::pick_port(const net::Packet& inner,
                                         net::IpAddr dst, sim::Time now,
                                         PickInfo* info) {
-  last_now_ = now;
   auto it0 = dsts_.find(dst);
   auto t = flowlets_.touch(inner.inner, now,
                            gap_for(it0 == dsts_.end() ? nullptr : &it0->second));
@@ -153,17 +135,11 @@ std::uint16_t CloveEcnPolicy::pick_port(const net::Packet& inner,
     info->reason = "wrr";
     info->metric = st.paths[idx].weight;
   }
-  if (t.new_flowlet && telemetry::tracing()) {
-    telemetry::trace(telemetry::Category::kFlowlet, now, owner(),
-                     "clove.flowlet_new", "dst " + std::to_string(dst),
-                     st.paths[idx].weight, port);
-  }
   return port;
 }
 
 void CloveEcnPolicy::on_feedback(net::IpAddr dst, const net::CloveFeedback& fb,
                                  sim::Time now) {
-  last_now_ = now;
   if (!fb.present) return;
   auto it = dsts_.find(dst);
   if (it == dsts_.end()) return;
@@ -206,24 +182,10 @@ void CloveEcnPolicy::on_feedback(net::IpAddr dst, const net::CloveFeedback& fb,
   for (PathState* p : uncongested) p->weight += share;
 
   if (on_port_degraded) on_port_degraded(dst, fb.port);
-
-  // Emit the full post-update weight vector (one event per path) so a trace
-  // capture shows the WRR mass migrating between paths over time.
-  if (telemetry::tracing()) {
-    for (const auto& p : st.paths) {
-      char detail[64];
-      std::snprintf(detail, sizeof(detail), "dst %u via %u %s", dst,
-                    p.info.hops.size() > 1 ? p.info.hops[1].node : 0,
-                    &p == congested ? "ecn_reduced" : "spread");
-      telemetry::trace(telemetry::Category::kWeight, now, owner(),
-                       "clove.weight", detail, p.weight, p.info.port);
-    }
-  }
 }
 
 void CloveEcnPolicy::on_path_evicted(net::IpAddr dst, std::uint16_t port,
-                                     sim::Time now) {
-  last_now_ = now;
+                                     sim::Time /*now*/) {
   auto it = dsts_.find(dst);
   if (it == dsts_.end()) return;
   DstState& st = it->second;
@@ -243,16 +205,6 @@ void CloveEcnPolicy::on_path_evicted(net::IpAddr dst, std::uint16_t port,
   } else if (!st.paths.empty()) {
     const double uniform = 1.0 / static_cast<double>(st.paths.size());
     for (auto& p : st.paths) p.weight = uniform;
-  }
-
-  if (telemetry::tracing()) {
-    for (const auto& p : st.paths) {
-      char detail[48];
-      std::snprintf(detail, sizeof(detail), "dst %u via %u evict_renorm", dst,
-                    p.info.hops.size() > 1 ? p.info.hops[1].node : 0);
-      telemetry::trace(telemetry::Category::kWeight, now, owner(),
-                       "clove.weight", detail, p.weight, p.info.port);
-    }
   }
 }
 

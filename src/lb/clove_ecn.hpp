@@ -97,9 +97,6 @@ class CloveEcnPolicy : public Policy {
   overlay::FlowletTracker flowlets_;
   sim::Rng rng_;
   std::unordered_map<net::IpAddr, DstState> dsts_;
-  /// Most recent data-path timestamp; stamps trace events emitted from
-  /// on_paths_updated(), which discovery calls without a time argument.
-  sim::Time last_now_{0};
 };
 
 }  // namespace clove::lb

@@ -31,17 +31,16 @@ struct PickInfo {
 /// flowlets, Presto flowcells, ...).
 ///
 /// Contract, in the order the hypervisor drives it:
-///  1. set_owner() once at attach (names the emitter in trace events).
-///  2. on_paths_updated() whenever discovery completes a round for a dst —
+///  1. on_paths_updated() whenever discovery completes a round for a dst —
 ///     including with a SMALLER or EMPTY set after a path-health eviction.
 ///     Policies must carry what per-path state they can across refreshes
 ///     (keyed by path signature) and must tolerate an empty set: pick_port()
 ///     is still called and must return a usable port (flow-hash fallback),
 ///     never crash or stall.
-///  3. pick_port() per data packet; on_feedback() per arriving feedback
+///  2. pick_port() per data packet; on_feedback() per arriving feedback
 ///     packet. Both may run millions of times — no allocation on the steady
 ///     path.
-///  4. on_path_evicted() when path-health declares a port dead, immediately
+///  3. on_path_evicted() when path-health declares a port dead, immediately
 ///     before discovery publishes the shrunken set. Policies should drop the
 ///     port's state and renormalize weights; flowlets pinned to the port
 ///     will be re-picked on their next packet. The default no-op is correct
@@ -126,20 +125,12 @@ class Policy {
     return nullptr;
   }
 
-  /// The owning hypervisor tags the policy with its host name so policy
-  /// trace events (weight updates, flowlet creation) identify their emitter.
-  void set_owner(std::string owner) { owner_ = std::move(owner); }
-  [[nodiscard]] const std::string& owner() const { return owner_; }
-
   /// Fires when congestion feedback makes the policy reduce the weight of
   /// `port` toward `dst` — the signal the hybrid flow/packet engine uses to
   /// demote fluid elephants riding a path the policy is steering away from.
   /// Set by the owning hypervisor; policies that re-weight on feedback
   /// (Clove-ECN/INT/latency) invoke it after applying the reduction.
   std::function<void(net::IpAddr dst, std::uint16_t port)> on_port_degraded;
-
- private:
-  std::string owner_;
 };
 
 }  // namespace clove::lb

@@ -2,8 +2,6 @@
 
 #include <algorithm>
 
-#include "telemetry/hub.hpp"
-
 namespace clove::net {
 
 void CongaLeafSwitch::configure_fabric(int leaf_index,
@@ -84,12 +82,6 @@ int CongaLeafSwitch::select_port(const Packet& pkt, const PortSet& ports,
     tag = pick_uplink_tag(dst_leaf, ports);
     if (tag < 0) return Switch::select_port(pkt, ports, in_port);
     dec.set_value(static_cast<std::uint32_t>(tag));
-    if (telemetry::tracing()) {
-      telemetry::trace(telemetry::Category::kPath, sim_.now(), name(),
-                       "conga.flowlet_path",
-                       "dst_leaf " + std::to_string(dst_leaf),
-                       static_cast<double>(tag), key);
-    }
   } else {
     tag = static_cast<int>(dec.value);
     const int port_idx = uplink_ports_[static_cast<std::size_t>(tag)];

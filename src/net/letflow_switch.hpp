@@ -3,7 +3,6 @@
 #include "net/switch.hpp"
 #include "net/switch_flowlet.hpp"
 #include "sim/random.hpp"
-#include "telemetry/hub.hpp"
 
 namespace clove::net {
 
@@ -36,11 +35,6 @@ class LetFlowSwitch : public Switch {
     }
     const int chosen = ports[rng_.uniform_int(ports.size())];
     dec.set_value(static_cast<std::uint32_t>(chosen));
-    if (telemetry::tracing()) {
-      telemetry::trace(telemetry::Category::kPath, sim_.now(), name(),
-                       "letflow.flowlet_path", {}, static_cast<double>(chosen),
-                       key);
-    }
     return chosen;
   }
 

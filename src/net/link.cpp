@@ -5,7 +5,6 @@
 #include "net/node.hpp"
 #include "net/packet_pool.hpp"
 #include "prof/prof.hpp"
-#include "telemetry/hub.hpp"
 #include "telemetry/scope.hpp"
 
 namespace clove::net {
@@ -24,7 +23,7 @@ Link::Link(sim::Simulator& sim, LinkId id, std::string name, Node* dst,
       dst_in_port_(dst_in_port),
       cfg_(cfg) {
   dre_.configure(cfg_.dre_alpha, cfg_.dre_interval, cfg_.rate_bytes_per_sec);
-  auto& reg = telemetry::hub().metrics();
+  auto& reg = telemetry::current_scope().metrics();
   const telemetry::Labels labels{{"link", name_}};
   cells_.tx_packets = reg.counter("link.tx_packets", labels);
   cells_.tx_bytes = reg.counter("link.tx_bytes", labels);
@@ -51,10 +50,6 @@ void Link::enqueue(PacketPtr pkt) {
     // on the link itself — the only evidence is missing deliveries.
     ++stats_.drops_fault;
     if (telemetry::enabled()) cells_.drops_fault->add();
-    if (telemetry::tracing()) {
-      telemetry::trace(telemetry::Category::kFault, sim_.now(), name_,
-                       "link.fault_drop", pkt->to_string(), fault_drop_prob_);
-    }
     if (auto* fr = telemetry::flight()) {
       fr->on_drop(pkt->uid, dst_ != nullptr ? dst_->id() : 0, name_,
                   telemetry::JourneyOutcome::kDropFault, sim_.now());
@@ -65,11 +60,6 @@ void Link::enqueue(PacketPtr pkt) {
   if (queue_bytes_ + wire > cfg_.queue_capacity_bytes) {
     ++stats_.drops_overflow;
     if (telemetry::enabled()) cells_.drops_overflow->add();
-    if (telemetry::tracing()) {
-      telemetry::trace(telemetry::Category::kQueue, sim_.now(), name_,
-                       "link.drop_overflow", pkt->to_string(),
-                       static_cast<double>(queue_bytes_));
-    }
     if (auto* fr = telemetry::flight()) {
       fr->on_drop(pkt->uid, dst_ != nullptr ? dst_->id() : 0, name_,
                   telemetry::JourneyOutcome::kDropOverflow, sim_.now());
@@ -221,11 +211,6 @@ void Link::down() {
       queue_.size() + propagating_.size() + (in_flight_ ? 1 : 0);
   stats_.drops_down += flushed;
   if (telemetry::enabled()) cells_.drops_down->add(flushed);
-  if (telemetry::tracing()) {
-    telemetry::trace(telemetry::Category::kTopology, sim_.now(), name_,
-                     "link.down", "flushed in-flight packets",
-                     static_cast<double>(flushed));
-  }
   if (auto* fr = telemetry::flight()) {
     // Finalize every flushed journey individually so the conservation
     // auditor can account for packets lost to the failure.
@@ -264,29 +249,17 @@ void Link::set_capacity_factor(double factor) {
   // 25% full is saturated, and INT/CONGA must see it that way.
   dre_.configure(cfg_.dre_alpha, cfg_.dre_interval,
                  cfg_.rate_bytes_per_sec * capacity_factor_);
-  if (telemetry::tracing()) {
-    telemetry::trace(telemetry::Category::kFault, sim_.now(), name_,
-                     "link.capacity_factor", "", capacity_factor_);
-  }
   if (fluid_observer_ != nullptr) fluid_observer_->on_link_changed(*this);
 }
 
 void Link::set_fault_drop(double p, std::uint64_t seed) {
   fault_drop_prob_ = std::clamp(p, 0.0, 1.0);
   if (fault_drop_prob_ > 0.0) fault_rng_.reseed(seed);
-  if (telemetry::tracing()) {
-    telemetry::trace(telemetry::Category::kFault, sim_.now(), name_,
-                     "link.fault_drop_prob", "", fault_drop_prob_);
-  }
 }
 
 void Link::up() {
   down_ = false;
   dre_.reset();
-  if (telemetry::tracing()) {
-    telemetry::trace(telemetry::Category::kTopology, sim_.now(), name_,
-                     "link.up");
-  }
   if (fluid_observer_ != nullptr) fluid_observer_->on_link_changed(*this);
 }
 

@@ -1,29 +1,10 @@
 #include "net/packet.hpp"
 
 #include <atomic>
-#include <cstdio>
 
 #include "net/packet_pool.hpp"
 
 namespace clove::net {
-
-std::string FiveTuple::to_string() const {
-  char buf[96];
-  std::snprintf(buf, sizeof(buf), "%u:%u->%u:%u/%u", src_ip, src_port, dst_ip,
-                dst_port, static_cast<unsigned>(proto));
-  return buf;
-}
-
-std::string Packet::to_string() const {
-  char buf[192];
-  std::snprintf(buf, sizeof(buf), "pkt#%llu inner=%s seq=%llu ack=%llu len=%u%s%s",
-                static_cast<unsigned long long>(uid), inner.to_string().c_str(),
-                static_cast<unsigned long long>(tcp.seq),
-                static_cast<unsigned long long>(tcp.ack), payload,
-                encap.present ? " encap=" : "",
-                encap.present ? encap.tuple.to_string().c_str() : "");
-  return buf;
-}
 
 void PacketDeleter::operator()(Packet* p) const noexcept {
   if (pool != nullptr) {

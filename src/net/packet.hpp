@@ -4,7 +4,6 @@
 #include <array>
 #include <cstdint>
 #include <memory>
-#include <string>
 
 #include "sim/time.hpp"
 
@@ -40,7 +39,6 @@ struct FiveTuple {
   [[nodiscard]] FiveTuple reversed() const {
     return FiveTuple{dst_ip, src_ip, dst_port, src_port, proto};
   }
-  [[nodiscard]] std::string to_string() const;
 };
 
 /// Salt-free mix of the tuple fields (SplitMix64 chain). This is the
@@ -309,8 +307,6 @@ struct Packet {
   /// Bytes on the wire: payload plus a fixed modeled header overhead.
   static constexpr std::uint32_t kHeaderBytes = 78;  // Eth+IP+TCP+STT approx
   [[nodiscard]] std::uint32_t wire_size() const { return payload + kHeaderBytes; }
-
-  [[nodiscard]] std::string to_string() const;
 
  private:
   friend class PacketPool;         // owns cold_

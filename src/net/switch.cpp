@@ -1,14 +1,13 @@
 #include "net/switch.hpp"
 
 #include "prof/prof.hpp"
-#include "telemetry/hub.hpp"
 #include "telemetry/scope.hpp"
 
 namespace clove::net {
 
 Switch::Switch(sim::Simulator& sim, NodeId id, std::string name)
     : Node(id, std::move(name)), sim_(sim) {
-  auto& reg = telemetry::hub().metrics();
+  auto& reg = telemetry::current_scope().metrics();
   const telemetry::Labels labels{{"switch", this->name()}};
   cells_.forwarded = reg.counter("switch.forwarded", labels);
   cells_.no_route_drops = reg.counter("switch.no_route_drops", labels);
@@ -57,11 +56,6 @@ void Switch::forward(PacketPtr pkt, int in_port) {
   if (ports == nullptr) {
     ++stats_.no_route_drops;
     if (telemetry::enabled()) cells_.no_route_drops->add();
-    if (telemetry::tracing()) {
-      telemetry::trace(telemetry::Category::kQueue, sim_.now(), name(),
-                       "switch.no_route", "dst " + std::to_string(dst), 0.0,
-                       dst);
-    }
     if (auto* fr = telemetry::flight()) {
       fr->on_drop(pkt->uid, id(), name(),
                   telemetry::JourneyOutcome::kDropNoRoute, sim_.now());

@@ -4,7 +4,7 @@
 #include <deque>
 #include <limits>
 
-#include "telemetry/hub.hpp"
+#include "telemetry/scope.hpp"
 
 namespace clove::net {
 
@@ -63,11 +63,6 @@ void Topology::restore_connection(Link* a_to_b) {
 
 void Topology::compute_routes() {
   ++route_epoch_;
-  if (telemetry::tracing()) {
-    telemetry::trace(telemetry::Category::kTopology, sim_.now(), "topology",
-                     "topology.route_recompute", {},
-                     static_cast<double>(route_epoch_));
-  }
   if (auto* fr = telemetry::flight()) {
     fr->on_route_change();
   }

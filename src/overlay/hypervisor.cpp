@@ -3,7 +3,6 @@
 #include "net/link.hpp"
 #include "net/packet_pool.hpp"
 #include "prof/prof.hpp"
-#include "telemetry/hub.hpp"
 #include "telemetry/scope.hpp"
 
 namespace clove::overlay {
@@ -14,8 +13,7 @@ Hypervisor::Hypervisor(net::NodeId id, std::string name, sim::Simulator& sim,
       sim_(sim),
       cfg_(cfg),
       policy_(std::move(policy)) {
-  policy_->set_owner(this->name());
-  auto& reg = telemetry::hub().metrics();
+  auto& reg = telemetry::current_scope().metrics();
   const telemetry::Labels labels{{"host", this->name()},
                                  {"scheme", policy_->name()}};
   cells_.encapped = reg.counter("hyp.encapped", labels);
@@ -198,12 +196,6 @@ void Hypervisor::attach_feedback(net::IpAddr peer, net::Packet& pkt) {
     fb.last_relayed = sim_.now();
     ++stats_.feedback_attached;
     if (telemetry::enabled()) cells_.feedback_attached->add();
-    if (telemetry::tracing()) {
-      telemetry::trace(telemetry::Category::kFeedback, sim_.now(), name(),
-                       "feedback.relay",
-                       out.ecn_set ? "ecn" : (out.has_util ? "util" : "latency"),
-                       out.has_util ? out.util : 0.0, port);
-    }
     return;
   }
 }
@@ -226,10 +218,6 @@ void Hypervisor::deliver_feedback(net::IpAddr peer,
                                   const net::CloveFeedback& fb) {
   if (fb_loss_ > 0.0 && fb_rng_.uniform() < fb_loss_) {
     ++stats_.feedback_lost_fault;
-    if (telemetry::tracing()) {
-      telemetry::trace(telemetry::Category::kFault, sim_.now(), name(),
-                       "feedback.fault_lost", "", fb_loss_, fb.port);
-    }
     return;
   }
   if (fb_delay_ > 0) {
@@ -309,11 +297,6 @@ void Hypervisor::handle_data(net::PacketPtr pkt) {
       ++stats_.ce_intercepted;
       const std::uint16_t fwd_port = pkt->encap.tuple.src_port;
       if (telemetry::enabled()) cells_.ce_intercepted->add();
-      if (telemetry::tracing()) {
-        telemetry::trace(telemetry::Category::kFeedback, sim_.now(), name(),
-                         "ecn.intercept", "outer CE masked from VM", 0.0,
-                         fwd_port);
-      }
       note_feedback(peer, fwd_port,
                     [](PendingFeedback& fb) { fb.ecn_pending = true; });
     }
@@ -387,10 +370,6 @@ void Hypervisor::handle_data(net::PacketPtr pkt) {
     if (!pkt->tcp.flags.ece) {
       ++stats_.forged_ece;
       if (telemetry::enabled()) cells_.forged_ece->add();
-      if (telemetry::tracing()) {
-        telemetry::trace(telemetry::Category::kFeedback, sim_.now(), name(),
-                         "ecn.forge_ece", "all paths congested", 0.0, peer);
-      }
     }
     pkt->tcp.flags.ece = true;
   }

@@ -2,21 +2,9 @@
 
 #include <algorithm>
 
-#include "telemetry/hub.hpp"
 #include "telemetry/scope.hpp"
-#include "telemetry/trace.hpp"
 
 namespace clove::overlay {
-
-namespace {
-std::string port_detail(net::IpAddr dst, std::uint16_t port) {
-  std::string s = "dst ";
-  s += std::to_string(dst);
-  s += " port ";
-  s += std::to_string(port);
-  return s;
-}
-}  // namespace
 
 PathHealthMonitor::PathHealthMonitor(sim::Simulator& sim, std::string owner,
                                      const PathHealthConfig& cfg,
@@ -27,7 +15,7 @@ PathHealthMonitor::PathHealthMonitor(sim::Simulator& sim, std::string owner,
       cfg_(cfg),
       daemon_(daemon),
       policy_(policy) {
-  auto& reg = telemetry::hub().metrics();
+  auto& reg = telemetry::current_scope().metrics();
   const telemetry::Labels labels{{"host", owner_}};
   cells_.keepalives = reg.counter("clove.pathset.keepalives", labels);
   cells_.keepalive_acks = reg.counter("clove.pathset.keepalive_acks", labels);
@@ -70,11 +58,6 @@ void PathHealthMonitor::on_paths_updated(net::IpAddr dst,
       st.misses = 0;
       ++stats_.readmissions;
       if (telemetry::enabled()) cells_.readmissions->add();
-      if (telemetry::tracing()) {
-        telemetry::trace(telemetry::Category::kFault, sim_.now(), owner_,
-                         "pathset.readmit", port_detail(dst, info.port), 0.0,
-                         info.port);
-      }
     }
   }
   // Drop mappings discovery has abandoned — except evicted ones, which keep
@@ -124,11 +107,6 @@ void PathHealthMonitor::tick() {
       st.backoff = cfg_.probe_backoff;
       ++stats_.suspects;
       if (telemetry::enabled()) cells_.suspects->add();
-      if (telemetry::tracing()) {
-        telemetry::trace(telemetry::Category::kFault, now, owner_,
-                         "pathset.suspect", port_detail(dst, port),
-                         static_cast<double>(now - st.last_evidence), port);
-      }
       if (!st.probe_outstanding) send_keepalive(dst, port);
     }
   }
@@ -173,11 +151,6 @@ void PathHealthMonitor::on_keepalive_result(net::IpAddr dst,
       // port mapping changed.
       ++stats_.readmissions;
       if (telemetry::enabled()) cells_.readmissions->add();
-      if (telemetry::tracing()) {
-        telemetry::trace(telemetry::Category::kFault, sim_.now(), owner_,
-                         "pathset.reprobe_ok", port_detail(dst, port), 0.0,
-                         port);
-      }
       dsts_[dst].erase(port);
       daemon_->probe_now(dst);
       return;
@@ -210,11 +183,6 @@ void PathHealthMonitor::evict(net::IpAddr dst, std::uint16_t port) {
   st->health = PortHealth::kEvicted;
   ++stats_.evictions;
   if (telemetry::enabled()) cells_.evictions->add();
-  if (telemetry::tracing()) {
-    telemetry::trace(telemetry::Category::kFault, sim_.now(), owner_,
-                     "pathset.evict", port_detail(dst, port),
-                     static_cast<double>(st->misses), port);
-  }
   // Order matters: the policy drops its per-port state first, then the
   // daemon republishes the shrunken set (on_paths_updated re-enters this
   // monitor, which keeps the evicted entry alive — see on_paths_updated).

@@ -189,7 +189,6 @@ std::string Profiler::to_json(int indent) const {
   append_kv(out, "event_slab_capacity", slab_capacity_);
   append_kv(out, "pool_allocated", pool_allocated_);
   append_kv(out, "pool_reused", pool_reused_);
-  append_kv(out, "peak_rss_mb", peak_rss_mb());
   append_kv(out, "sims", sims_, false);
   out += "}," + nl;
 

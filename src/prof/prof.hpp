@@ -223,7 +223,9 @@ class Profiler {
   [[nodiscard]] std::vector<ScopeId> top_sinks() const;
 
   /// The self-profile section embedded in JSON run artifacts. Serialized
-  /// here (not via telemetry::Json) so prof stays a leaf library.
+  /// here (not via telemetry::Json) so prof stays a leaf library. A pure
+  /// function of the folded-in aggregates: process gauges such as peak RSS
+  /// belong to the enclosing artifact, which samples them once at export.
   [[nodiscard]] std::string to_json(int indent = 2) const;
 
   /// Folded flamegraph lines: "clove;dispatch;switch_forward 1234\n",

@@ -36,10 +36,6 @@ void vlog(LogLevel lvl, Time now, const char* tag, const char* fmt, ...)
     }                                                                   \
   } while (0)
 
-#define CLOVE_TRACE(now, tag, ...) \
-  CLOVE_LOG(::clove::sim::LogLevel::kTrace, now, tag, __VA_ARGS__)
-#define CLOVE_INFO(now, tag, ...) \
-  CLOVE_LOG(::clove::sim::LogLevel::kInfo, now, tag, __VA_ARGS__)
 #define CLOVE_WARN(now, tag, ...) \
   CLOVE_LOG(::clove::sim::LogLevel::kWarn, now, tag, __VA_ARGS__)
 

@@ -8,7 +8,7 @@
 namespace clove::telemetry {
 
 /// A minimal JSON document value: enough to emit the machine-readable run
-/// artifacts (bench results, metric snapshots, trace exports) and to parse
+/// artifacts (bench results, metric snapshots, flight exports) and to parse
 /// them back for round-trip tests and tooling. Objects preserve insertion
 /// order so emitted artifacts are deterministic and diff-friendly.
 ///

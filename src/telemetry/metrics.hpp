@@ -18,8 +18,8 @@ using Labels = std::vector<std::pair<std::string, std::string>>;
 
 /// Monotonic counter cell. Cells are owned by the MetricsRegistry and stay
 /// valid for the process lifetime, so instrumented components resolve them
-/// once (at construction) and do a plain add on the hot path, guarded by the
-/// hub's enabled() check.
+/// once (at construction) and do a plain add on the hot path, guarded by
+/// telemetry::enabled().
 class Counter {
  public:
   void add(std::uint64_t n = 1) { v_ += n; }

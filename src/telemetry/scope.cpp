@@ -15,13 +15,6 @@ ScopeSettings ScopeSettings::from_env() {
   if (const char* v = std::getenv("CLOVE_TELEMETRY")) {
     s.enabled = v[0] != '\0' && v[0] != '0';
   }
-  if (const char* v = std::getenv("CLOVE_TRACE_CAPACITY")) {
-    const long n = std::atol(v);
-    if (n > 0) s.trace_capacity = static_cast<std::size_t>(n);
-  }
-  if (const char* v = std::getenv("CLOVE_TRACE_CATEGORIES")) {
-    s.trace_filter = parse_category_mask(v);
-  }
   s.flight = FlightConfig::from_env();
   return s;
 }
@@ -47,10 +40,9 @@ void Scope::set_flight_config(const FlightConfig& cfg) {
 
 Scope& current_scope() {
   if (detail::tl_scope == nullptr) {
-    // Lazy process-wide fallback, configured from the environment exactly
-    // like the historical singleton hub. Threads that never install a scope
-    // all resolve here; construction is thread-safe (magic static) and the
-    // fallback is only shared by code that was process-global before.
+    // Lazy process-wide fallback, configured from the environment. Threads
+    // that never install a scope all resolve here; construction is
+    // thread-safe (magic static).
     static Scope process_scope{ScopeSettings::from_env()};
     detail::tl_scope = &process_scope;
     detail::tl_enabled = process_scope.is_enabled();

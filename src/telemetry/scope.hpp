@@ -1,36 +1,29 @@
 #pragma once
 
-#include <cstddef>
 #include <memory>
 
 #include "telemetry/flight_recorder.hpp"
 #include "telemetry/metrics.hpp"
-#include "telemetry/trace.hpp"
 
 namespace clove::telemetry {
 
-/// Construction-time knobs for a telemetry Scope. from_env() reads the same
-/// environment variables the process-wide hub always honored:
-///   CLOVE_TELEMETRY=1           enable collection
-///   CLOVE_TRACE_CAPACITY=N      trace ring size (default 65536 events)
-///   CLOVE_TRACE_CATEGORIES=a,b  category filter (e.g. "weight,topology")
+/// Construction-time knobs for a telemetry Scope. from_env() reads:
+///   CLOVE_TELEMETRY=1           enable the metrics registry
 ///   CLOVE_FLIGHT_RECORDER=off|sampled|full   flight recorder mode
 ///   CLOVE_FLIGHT_SAMPLE=N       sampled mode: journey every Nth packet
 struct ScopeSettings {
   bool enabled{false};
-  std::size_t trace_capacity{TraceLog::kDefaultCapacity};
-  unsigned trace_filter{kAllCategories};
   FlightConfig flight{};
 
   [[nodiscard]] static ScopeSettings from_env();
 };
 
-/// One telemetry collection domain: a metrics registry plus a trace ring plus
-/// an on/off flag. Historically these were process-wide singletons; scoping
-/// them lets harness::ParallelRunner give every concurrently running sweep
-/// point its own isolated registry — no cross-thread sharing, no locks on the
-/// recording hot path — while single-threaded code keeps using the implicit
-/// process scope through the unchanged telemetry::hub() facade.
+/// One telemetry collection domain: a metrics registry, a flight recorder and
+/// an on/off flag. Scoping them lets harness::ParallelRunner give every
+/// concurrently running sweep point its own isolated registry — no
+/// cross-thread sharing, no locks on the recording hot path — while
+/// single-threaded code records into the implicit process scope that
+/// current_scope() falls back to.
 ///
 /// A Scope is not itself thread-safe; it is installed on exactly one thread
 /// at a time via ScopeGuard.
@@ -38,15 +31,11 @@ class Scope {
  public:
   Scope() = default;
   explicit Scope(const ScopeSettings& s)
-      : enabled_(s.enabled), flight_cfg_(s.flight) {
-    trace_.set_capacity(s.trace_capacity);
-    trace_.set_filter(s.trace_filter);
-  }
+      : enabled_(s.enabled), flight_cfg_(s.flight) {}
   Scope(const Scope&) = delete;
   Scope& operator=(const Scope&) = delete;
 
   [[nodiscard]] MetricsRegistry& metrics() { return metrics_; }
-  [[nodiscard]] TraceLog& trace() { return trace_; }
 
   /// Flip collection for this scope; when the scope is current on the calling
   /// thread, the hot-path enabled() flag is updated too.
@@ -62,24 +51,21 @@ class Scope {
   void set_flight_config(const FlightConfig& cfg);
   [[nodiscard]] const FlightConfig& flight_config() const { return flight_cfg_; }
 
-  /// Start-of-run housekeeping: zero metric values, clear the trace ring and
-  /// the flight recorder so each experiment's snapshot reflects that
-  /// experiment only. Resolved cell pointers stay valid.
+  /// Start-of-run housekeeping: zero metric values and clear the flight
+  /// recorder so each experiment's snapshot reflects that experiment only.
+  /// Resolved cell pointers stay valid.
   void begin_run() {
     metrics_.reset_values();
-    trace_.clear();
     if (flight_) flight_->reset();
   }
 
   /// The knobs a child scope should inherit to behave like this one.
   [[nodiscard]] ScopeSettings settings() const {
-    return ScopeSettings{enabled_, trace_.capacity(), trace_.filter(),
-                         flight_cfg_};
+    return ScopeSettings{enabled_, flight_cfg_};
   }
 
  private:
   MetricsRegistry metrics_;
-  TraceLog trace_;
   bool enabled_{false};
   FlightConfig flight_cfg_{};
   std::unique_ptr<FlightRecorder> flight_;
@@ -111,8 +97,7 @@ extern thread_local FlightRecorder* tl_flight;
 
 /// The scope telemetry resolves against on this thread. Threads with no
 /// installed scope (the main thread, plain tests) share a lazily created
-/// process-wide scope configured from the environment — the pre-scope
-/// singleton behavior, unchanged.
+/// process-wide scope configured from the environment.
 [[nodiscard]] Scope& current_scope();
 
 /// RAII installer: makes `s` the calling thread's current scope for the

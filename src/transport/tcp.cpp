@@ -6,7 +6,7 @@
 #include "net/packet_pool.hpp"
 #include "prof/prof.hpp"
 #include "sim/logging.hpp"
-#include "telemetry/hub.hpp"
+#include "telemetry/scope.hpp"
 
 namespace clove::transport {
 
@@ -27,7 +27,7 @@ TcpSender::TcpSender(VmPort& port, net::FiveTuple tuple, TcpConfig cfg)
       cwnd_(static_cast<std::uint64_t>(cfg.initial_cwnd_pkts) * cfg.mss),
       ssthresh_(cfg.max_cwnd_bytes) {
   if (cfg_.dctcp) cfg_.ecn = true;
-  auto& m = telemetry::hub().metrics();
+  auto& m = telemetry::current_scope().metrics();
   cells_ = Cells{m.counter("tcp.timeouts"), m.counter("tcp.fast_retransmits"),
                  m.counter("tcp.ecn_reductions"), m.histogram("tcp.rtt_us")};
 }
@@ -286,11 +286,6 @@ void TcpSender::enter_recovery_sack() {
   if (hook_ != nullptr) hook_->on_loss_event(*this);
   ++stats_.fast_retransmits;
   if (telemetry::enabled()) cells_.fast_retransmits->add();
-  if (telemetry::tracing()) {
-    telemetry::trace(telemetry::Category::kTcp, port_.simulator().now(),
-                     tuple_.to_string(), "tcp.fast_retransmit", "sack",
-                     static_cast<double>(cwnd_), snd_una_);
-  }
   in_recovery_ = true;
   recover_point_ = snd_nxt_;
   const std::uint64_t inflight = snd_nxt_ - snd_una_;
@@ -516,11 +511,6 @@ void TcpSender::handle_dupack() {
     if (hook_ != nullptr) hook_->on_loss_event(*this);
     ++stats_.fast_retransmits;
     if (telemetry::enabled()) cells_.fast_retransmits->add();
-    if (telemetry::tracing()) {
-      telemetry::trace(telemetry::Category::kTcp, port_.simulator().now(),
-                       tuple_.to_string(), "tcp.fast_retransmit", "dupack",
-                       static_cast<double>(cwnd_), snd_una_);
-    }
     in_recovery_ = true;
     recover_point_ = snd_nxt_;
     const std::uint64_t inflight = snd_nxt_ - snd_una_;
@@ -539,12 +529,6 @@ void TcpSender::on_rto() {
   if (hook_ != nullptr) hook_->on_loss_event(*this);
   ++stats_.timeouts;
   if (telemetry::enabled()) cells_.timeouts->add();
-  if (telemetry::tracing()) {
-    telemetry::trace(telemetry::Category::kTcp, port_.simulator().now(),
-                     tuple_.to_string(), "tcp.timeout",
-                     "backoff " + std::to_string(rto_backoff_),
-                     static_cast<double>(snd_nxt_ - snd_una_), snd_una_);
-  }
   ++rto_backoff_;
   ssthresh_ = std::max<std::uint64_t>((snd_nxt_ - snd_una_) / 2, 2ull * cfg_.mss);
   cwnd_ = cfg_.mss;

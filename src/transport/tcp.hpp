@@ -269,9 +269,9 @@ class TcpSender : public TcpEndpoint {
   // Transport counters, resolved once at construction against the telemetry
   // scope current on the constructing thread. Senders are too numerous for
   // per-sender label sets, so every sender in a scope shares the same cells;
-  // per-flow attribution comes from trace events instead. A member (not a
-  // function-local static) so each parallel sweep point's senders bind to
-  // that point's own scope.
+  // per-flow attribution comes from flight-recorder flow records. A member
+  // (not a function-local static) so each parallel sweep point's senders
+  // bind to that point's own scope.
   struct Cells {
     telemetry::Counter* timeouts;
     telemetry::Counter* fast_retransmits;

@@ -5,7 +5,9 @@
 // trace, and SACK on every lossy run). Each run is pinned to its exact event
 // count, link drops, ECN marks, FCT sum and the bit patterns of its average
 // and p99 FCT, so any change to how a packet carries or loses one of those
-// fields moves at least one pin.
+// fields moves at least one pin. Every case runs twice, with telemetry off and
+// then inside an enabled telemetry scope, and both runs must hit the same pin:
+// recording metrics never feeds back into the simulation.
 
 #include <gtest/gtest.h>
 
@@ -14,6 +16,7 @@
 
 #include "harness/experiment.hpp"
 #include "hybrid/hybrid.hpp"
+#include "telemetry/scope.hpp"
 #include "workload/client_server.hpp"
 
 namespace clove::harness {
@@ -47,8 +50,9 @@ workload::ClientServerConfig base_workload() {
   return wl;
 }
 
-void expect_pinned(const ExperimentConfig& cfg,
-                   const workload::ClientServerConfig& wl, const Pin& pin) {
+void expect_run_pinned(const ExperimentConfig& cfg,
+                       const workload::ClientServerConfig& wl,
+                       const Pin& pin) {
   const ExperimentResult r = run_fct_experiment(cfg, wl);
   double sum = 0.0;
   for (double v : r.fct->all().raw()) sum += v;
@@ -68,6 +72,20 @@ void expect_pinned(const ExperimentConfig& cfg,
   EXPECT_EQ(sum, pin.fct_sum_s);
   EXPECT_EQ(r.avg_fct_s, pin.avg_fct_s);
   EXPECT_EQ(r.p99_fct_s, pin.p99_fct_s);
+}
+
+void expect_pinned(const ExperimentConfig& cfg,
+                   const workload::ClientServerConfig& wl, const Pin& pin) {
+  {
+    SCOPED_TRACE("telemetry off");
+    expect_run_pinned(cfg, wl, pin);
+  }
+  SCOPED_TRACE("telemetry on");
+  telemetry::ScopeSettings on;
+  on.enabled = true;
+  telemetry::Scope scope{on};
+  telemetry::ScopeGuard guard(scope);
+  expect_run_pinned(cfg, wl, pin);
 }
 
 TEST(DatapathPins, Ecmp) {

@@ -9,7 +9,6 @@
 #include <vector>
 
 #include "stats/stats.hpp"
-#include "telemetry/hub.hpp"
 #include "telemetry/metrics.hpp"
 
 namespace clove::telemetry {
@@ -203,34 +202,6 @@ TEST(MetricsSnapshot, DeterministicOrderAndJson) {
   Json back = Json::parse(j.dump(2), &err);
   EXPECT_TRUE(err.empty()) << err;
   EXPECT_EQ(back.size(), 4u);
-}
-
-TEST(Hub, BeginRunZeroesWithoutInvalidating) {
-  Hub& h = hub();
-  const bool was = h.is_enabled();
-  h.set_enabled(true);
-  Counter* c = h.metrics().counter("test.hub.counter");
-  c->add(5);
-  trace(Category::kQueue, 10, "n", "e");
-  EXPECT_GE(h.trace().size(), 1u);
-  h.begin_run();
-  EXPECT_EQ(c->value(), 0u);
-  EXPECT_EQ(h.trace().size(), 0u);
-  if (telemetry::enabled()) c->add();  // the instrumented-site idiom
-  EXPECT_EQ(c->value(), 1u);
-  h.set_enabled(was);
-  h.begin_run();
-}
-
-TEST(Hub, DisabledGuardSkipsRecording) {
-  Hub& h = hub();
-  const bool was = h.is_enabled();
-  h.set_enabled(false);
-  h.begin_run();
-  EXPECT_FALSE(telemetry::enabled());
-  trace(Category::kQueue, 10, "n", "e");  // dropped: hub disabled
-  EXPECT_EQ(h.trace().size(), 0u);
-  h.set_enabled(was);
 }
 
 }  // namespace

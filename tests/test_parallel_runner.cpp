@@ -15,7 +15,6 @@
 
 #include "harness/experiment.hpp"
 #include "harness/parallel_runner.hpp"
-#include "telemetry/hub.hpp"
 #include "telemetry/scope.hpp"
 #include "workload/client_server.hpp"
 
@@ -81,9 +80,7 @@ TEST(ParallelRunner, TasksGetIsolatedTelemetryScopes) {
   // Each task records into a fresh scope inheriting the submitter's
   // settings; the submitter's own registry must stay untouched, and each
   // task sees only its own counts.
-  telemetry::Scope outer{telemetry::ScopeSettings{true,
-                                                  telemetry::TraceLog::kDefaultCapacity,
-                                                  telemetry::kAllCategories}};
+  telemetry::Scope outer{telemetry::ScopeSettings{true}};
   telemetry::ScopeGuard guard(outer);
   ParallelRunner runner(4);
   std::vector<std::function<double()>> fns;
@@ -91,7 +88,7 @@ TEST(ParallelRunner, TasksGetIsolatedTelemetryScopes) {
     fns.push_back([i]() -> double {
       EXPECT_NE(&telemetry::current_scope(), nullptr);
       EXPECT_TRUE(telemetry::enabled());  // inherited from the submitter
-      auto* c = telemetry::hub().metrics().counter("test.parallel");
+      auto* c = telemetry::current_scope().metrics().counter("test.parallel");
       c->add(static_cast<std::uint64_t>(i) + 1);
       return static_cast<double>(c->value());
     });
@@ -144,8 +141,7 @@ TEST(ParallelRunner, ExperimentResultsAreBitIdenticalAcrossThreadCounts) {
   // The tentpole guarantee: CLOVE_THREADS=1 and CLOVE_THREADS=8 produce
   // byte-identical per-point results (FCT stats, counters, and the telemetry
   // metrics digest) at equal seeds.
-  telemetry::Scope outer{telemetry::ScopeSettings{
-      true, telemetry::TraceLog::kDefaultCapacity, telemetry::kAllCategories}};
+  telemetry::Scope outer{telemetry::ScopeSettings{true}};
   telemetry::ScopeGuard guard(outer);
 
   const auto cfg = tiny_config();

@@ -1,11 +1,10 @@
 // Tests for telemetry scoping: the thread-local current scope, ScopeGuard
-// nesting, the enabled() hot-path flag, and the hub facade's delegation.
+// nesting, the enabled() hot-path flag, and per-scope metric isolation.
 
 #include <gtest/gtest.h>
 
 #include <thread>
 
-#include "telemetry/hub.hpp"
 #include "telemetry/scope.hpp"
 
 namespace clove::telemetry {
@@ -33,7 +32,7 @@ TEST(Scope, GuardsNest) {
 }
 
 TEST(Scope, EnabledFlagTracksCurrentScope) {
-  Scope on{ScopeSettings{true, TraceLog::kDefaultCapacity, kAllCategories}};
+  Scope on{ScopeSettings{true}};
   Scope off;
   {
     ScopeGuard g(on);
@@ -61,63 +60,72 @@ TEST(Scope, MetricsAreIsolatedPerScope) {
   Scope b;
   {
     ScopeGuard g(a);
-    hub().metrics().counter("scope.test")->add(3);
+    current_scope().metrics().counter("scope.test")->add(3);
   }
   {
     ScopeGuard g(b);
-    auto* c = hub().metrics().counter("scope.test");
+    auto* c = current_scope().metrics().counter("scope.test");
     EXPECT_EQ(c->value(), 0u) << "scopes must not share registries";
   }
   {
     ScopeGuard g(a);
-    EXPECT_EQ(hub().metrics().counter("scope.test")->value(), 3u);
+    EXPECT_EQ(current_scope().metrics().counter("scope.test")->value(), 3u);
   }
 }
 
 TEST(Scope, SettingsRoundTripToChildScopes) {
   ScopeSettings s;
   s.enabled = true;
-  s.trace_capacity = 128;
-  s.trace_filter = static_cast<unsigned>(Category::kWeight);
+  s.flight.mode = FlightMode::kSampled;
+  s.flight.sample_every = 8;
   Scope parent{s};
   const ScopeSettings inherited = parent.settings();
   EXPECT_TRUE(inherited.enabled);
-  EXPECT_EQ(inherited.trace_capacity, 128u);
-  EXPECT_EQ(inherited.trace_filter, static_cast<unsigned>(Category::kWeight));
+  EXPECT_EQ(inherited.flight.mode, FlightMode::kSampled);
+  EXPECT_EQ(inherited.flight.sample_every, 8u);
   Scope child{inherited};
   EXPECT_TRUE(child.is_enabled());
-  EXPECT_EQ(child.trace().capacity(), 128u);
-  EXPECT_EQ(child.trace().filter(), static_cast<unsigned>(Category::kWeight));
-}
-
-TEST(Scope, TraceRecordsIntoCurrentScopeOnly) {
-  Scope a{ScopeSettings{true, 64, kAllCategories}};
-  Scope b{ScopeSettings{true, 64, kAllCategories}};
-  {
-    ScopeGuard g(a);
-    trace(Category::kWeight, 1, "node", "event.a");
-  }
-  {
-    ScopeGuard g(b);
-    trace(Category::kWeight, 2, "node", "event.b");
-    EXPECT_EQ(hub().trace().size(), 1u);
-    EXPECT_EQ(hub().trace().events()[0]->name, "event.b");
-  }
-  {
-    ScopeGuard g(a);
-    EXPECT_EQ(hub().trace().size(), 1u);
-    EXPECT_EQ(hub().trace().events()[0]->name, "event.a");
-  }
+  EXPECT_EQ(child.flight_config().mode, FlightMode::kSampled);
+  EXPECT_EQ(child.flight_config().sample_every, 8u);
 }
 
 TEST(Scope, BeginRunClearsValuesButKeepsCells) {
+  Scope s{ScopeSettings{true}};
+  ScopeGuard g(s);
+  auto* c = current_scope().metrics().counter("scope.begin_run");
+  c->add(5);
+  current_scope().begin_run();
+  EXPECT_EQ(c->value(), 0u);  // same cell, zeroed
+  EXPECT_EQ(current_scope().metrics().counter("scope.begin_run"), c);
+  if (enabled()) c->add();  // the instrumented-site idiom still records
+  EXPECT_EQ(c->value(), 1u);
+}
+
+TEST(Scope, ProcessScopeBeginRunZeroesWithoutInvalidating) {
+  // No guard installed: the thread's process scope, as component
+  // constructors see it.
+  Scope& s = current_scope();
+  const bool was = s.is_enabled();
+  s.set_enabled(true);
+  Counter* c = s.metrics().counter("test.process_scope.counter");
+  c->add(5);
+  s.begin_run();
+  EXPECT_EQ(c->value(), 0u);
+  EXPECT_EQ(s.metrics().counter("test.process_scope.counter"), c);
+  if (enabled()) c->add();  // the instrumented-site idiom
+  EXPECT_EQ(c->value(), 1u);
+  s.set_enabled(was);
+  s.begin_run();
+}
+
+TEST(Scope, DisabledGuardSkipsRecording) {
   Scope s;
   ScopeGuard g(s);
-  auto* c = hub().metrics().counter("scope.begin_run");
-  c->add(5);
-  hub().begin_run();
-  EXPECT_EQ(c->value(), 0u);  // same cell, zeroed
-  EXPECT_EQ(hub().metrics().counter("scope.begin_run"), c);
+  current_scope().begin_run();
+  EXPECT_FALSE(enabled());
+  auto* c = current_scope().metrics().counter("scope.disabled");
+  if (enabled()) c->add();  // skipped: the scope is disabled
+  EXPECT_EQ(c->value(), 0u);
 }
 
 TEST(Scope, EachThreadFallsBackToTheProcessScope) {
