@@ -11,6 +11,7 @@
 
 #include <benchmark/benchmark.h>
 
+#include <array>
 #include <atomic>
 #include <cstdlib>
 #include <new>
@@ -259,6 +260,40 @@ void BM_EventChain(benchmark::State& state) {
   benchmark::DoNotOptimize(fired);
 }
 BENCHMARK(BM_EventChain);
+
+/// The transport's load on the event queue: kLinks link-like events, one
+/// per microsecond, each re-arming itself kLinks microseconds later, and
+/// every fire re-arms one of kTimers 200 ms RTO timers (cancel + schedule),
+/// as each ACK does in TcpSender. A cancelled timer entry would otherwise
+/// sit in the heap until its deadline, 200 k events later.
+struct TimerChurn {
+  static constexpr int kLinks = 600;
+  static constexpr std::size_t kTimers = 32;
+  sim::EventQueue q;
+  sim::Time now = 0;
+  std::array<sim::EventId, kTimers> rto{};
+  std::size_t next_rto = 0;
+  std::uint64_t timeouts = 0;
+
+  void link_event() {
+    sim::EventId& timer = rto[next_rto++ % kTimers];
+    q.cancel(timer);
+    timer = q.schedule(now + 200 * sim::kMillisecond, [this] { ++timeouts; });
+    q.schedule(now + kLinks * sim::kMicrosecond, [this] { link_event(); });
+  }
+};
+
+void BM_EventQueue_TimerChurn(benchmark::State& state) {
+  TimerChurn c;
+  for (int i = 0; i < TimerChurn::kLinks; ++i) {
+    c.q.schedule(i * sim::kMicrosecond, [&c] { c.link_event(); });
+  }
+  const std::uint64_t a0 = alloc_count();
+  for (auto _ : state) c.q.run_next_until(sim::kTimeNever, &c.now);
+  report_events(state, alloc_count() - a0);
+  benchmark::DoNotOptimize(c.timeouts);
+}
+BENCHMARK(BM_EventQueue_TimerChurn);
 
 void BM_PacketEvent_Pooled(benchmark::State& state) {
   // The steady-state datapath op: acquire a pooled packet, schedule an event

@@ -26,10 +26,14 @@ struct EventId {
 /// slot}; callbacks live in a slab of reusable nodes addressed by slot, so
 /// heap sifts move 24-byte PODs and the steady state performs zero heap
 /// allocations (SmallFn keeps capture-light callbacks inline, and drained
-/// slots are recycled through a freelist). Cancellation is lazy in the heap
-/// (the POD entry is skipped when it surfaces) but eager in the slab: the
-/// callback is destroyed immediately — releasing captured resources such as
-/// packets — and `size()` counts only live events.
+/// slots are recycled through a freelist). Cancellation destroys the
+/// callback immediately — releasing captured resources such as packets —
+/// and leaves a dead POD entry that is skipped when it surfaces. Once dead
+/// entries outnumber live ones by more than a constant, cancel() rebuilds
+/// the heap from the live entries alone (amortized O(1) per cancel), so the
+/// heap and slab stay within 2 * max_live() + 64 entries even under TCP's
+/// cancel-and-re-arm timer churn. Keys (time, seq) are unique, so any valid
+/// heap pops the same sequence: compaction never changes the run order.
 class EventQueue {
  public:
   using Callback = SmallFn;
@@ -58,8 +62,8 @@ class EventQueue {
 
   /// Cancel a previously scheduled event. Cancelling an already-fired event
   /// (or a handle whose slot was since reused) is a no-op. The callback is
-  /// destroyed immediately; only the POD heap entry lingers until it
-  /// surfaces.
+  /// destroyed immediately; the POD heap entry lingers until it surfaces or
+  /// the next compaction drops it.
   void cancel(EventId id) {
     if (!id.valid() || id.slot >= nodes_.size()) return;
     Node& n = nodes_[id.slot];
@@ -67,6 +71,7 @@ class EventQueue {
     n.cancelled = true;
     n.cb = Callback{};
     --live_;
+    if (heap_.size() > 2 * live_ + 64) compact();
   }
 
   [[nodiscard]] bool empty() const { return live_ == 0; }
@@ -110,7 +115,8 @@ class EventQueue {
   }
 
   /// Nodes ever allocated in the slab — a high-watermark of concurrently
-  /// scheduled events, exposed so tests can pin slot recycling.
+  /// held slots (live events plus cancelled ones not yet dropped), at most
+  /// 2 * max_live() + 64; exposed so tests can pin slot recycling.
   [[nodiscard]] std::size_t slab_capacity() const { return nodes_.size(); }
 
   /// Most live events ever pending at once (counts cancelled entries out,
@@ -149,8 +155,8 @@ class EventQueue {
   }
 
   /// Drop cancelled entries from the top of the heap. Invariant: a heap
-  /// entry's slot is recycled only here or in run_next(), so entry.seq ==
-  /// node.seq until the entry is popped.
+  /// entry's slot is recycled only here, in compact() or in run_next(), so
+  /// entry.seq == node.seq until the entry leaves the heap.
   void skim() {
     while (!heap_.empty() && nodes_[heap_.front().slot].cancelled) {
       release(heap_.front().slot);
@@ -158,9 +164,28 @@ class EventQueue {
     }
   }
 
+  /// Keep only the live entries, returning every cancelled slot to the
+  /// freelist, then restore the heap order bottom-up in O(n).
+  void compact() {
+    std::size_t kept = 0;
+    for (const Entry& e : heap_) {
+      if (nodes_[e.slot].cancelled) {
+        release(e.slot);
+      } else {
+        heap_[kept++] = e;
+      }
+    }
+    heap_.resize(kept);
+    if (kept < 2) return;
+    for (std::size_t i = ((kept - 2) >> 2) + 1; i-- > 0;) {
+      sift_down(i, heap_[i]);
+    }
+  }
+
   // The heap is 4-ary rather than binary: half the sift depth per push/pop,
-  // and the four children of a node share a cache line (24-byte entries), so
-  // the min-of-children scan in heap_pop costs one line fetch per level.
+  // and the four 24-byte children of a node span at most two cache lines,
+  // so the min-of-children scan in sift_down costs one or two line fetches
+  // per level.
   void heap_push(Entry e) {
     std::size_t i = heap_.size();
     heap_.push_back(e);
@@ -176,9 +201,12 @@ class EventQueue {
   void heap_pop() {
     const Entry last = heap_.back();
     heap_.pop_back();
+    if (!heap_.empty()) sift_down(0, last);
+  }
+
+  /// Move `e` down from the hole at `i` until no child is earlier.
+  void sift_down(std::size_t i, const Entry e) {
     const std::size_t n = heap_.size();
-    if (n == 0) return;
-    std::size_t i = 0;
     for (;;) {
       const std::size_t first_child = (i << 2) + 1;
       if (first_child >= n) break;
@@ -187,11 +215,11 @@ class EventQueue {
       for (std::size_t c = first_child + 1; c < end; ++c) {
         if (earlier(heap_[c], heap_[best])) best = c;
       }
-      if (!earlier(heap_[best], last)) break;
+      if (!earlier(heap_[best], e)) break;
       heap_[i] = heap_[best];
       i = best;
     }
-    heap_[i] = last;
+    heap_[i] = e;
   }
 
   std::vector<Entry> heap_;

@@ -113,15 +113,9 @@ class Timer {
   Timer(const Timer&) = delete;
   Timer& operator=(const Timer&) = delete;
 
-  /// (Re)arm the timer to fire `delay` from now. Cancels any pending firing.
-  void schedule_in(Time delay) {
-    cancel();
-    deadline_ = sim_.now() + delay;
-    id_ = sim_.schedule_in(delay, [this] {
-      id_ = EventId{};
-      on_fire_();
-    });
-  }
+  /// (Re)arm the timer to fire `delay` from now (a negative delay fires now,
+  /// as Simulator::schedule_in clamps it). Cancels any pending firing.
+  void schedule_in(Time delay) { schedule_at(sim_.now() + delay); }
 
   /// (Re)arm the timer to fire at absolute time `at` (clamped to now).
   /// Cancels any pending firing.

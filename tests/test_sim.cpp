@@ -3,8 +3,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
+#include <cstddef>
 #include <memory>
+#include <random>
+#include <set>
+#include <utility>
 #include <vector>
 
 #include "sim/event_queue.hpp"
@@ -341,6 +346,22 @@ TEST(Timer, DeadlineReflectsPendingFiring) {
 
 // Pins the fix for a stale-deadline bug: cancel() (and firing) used to leave
 // deadline() reporting the old absolute time.
+// Pins the fix for a negative delay: the event fires now (the simulator
+// clamps the delay), so deadline() must say now, not a time in the past.
+TEST(Timer, NegativeDelayDeadlineIsFireTime) {
+  Simulator sim;
+  Time fired_at = -1;
+  Timer t(sim, [&] { fired_at = sim.now(); });
+  Time deadline = -1;
+  sim.schedule_in(50, [&] {
+    t.schedule_in(-10);
+    deadline = t.deadline();
+  });
+  sim.run();
+  EXPECT_EQ(deadline, 50);
+  EXPECT_EQ(fired_at, 50);
+}
+
 TEST(Timer, DeadlineClearsOnCancelAndFire) {
   Simulator sim;
   Timer t(sim, [] {});
@@ -422,6 +443,120 @@ TEST(EventQueue, StaleCancelAfterSlotReuseIsNoop) {
   EXPECT_EQ(q.size(), 1u);
   q.run_next();
   EXPECT_EQ(fired, 1);
+
+  // A slot freed by compaction — its cancelled entry never surfaced — is
+  // just as stale once a new event takes it.
+  q.schedule(1000, [&] { ++fired; });
+  std::vector<EventId> dead;
+  for (int i = 0; i < 100; ++i) dead.push_back(q.schedule(500 + i, [] {}));
+  for (const EventId id : dead) q.cancel(id);
+  const EventId reused = q.schedule(30, [&] { ++fired; });
+  const auto prev = std::find_if(dead.begin(), dead.end(), [&](EventId id) {
+    return id.slot == reused.slot;
+  });
+  ASSERT_NE(prev, dead.end());  // the slot came back from a dead entry
+  q.cancel(*prev);
+  EXPECT_EQ(q.size(), 2u);
+  while (q.run_next() != kTimeNever) {
+  }
+  EXPECT_EQ(fired, 3);
+}
+
+TEST(EventQueue, CancelChurnKeepsSlabBounded) {
+  // TCP's RTO pattern: every ACK cancels the pending timer and re-arms it.
+  // Cancelled entries are compacted away, so the slab tracks live events,
+  // not cancels (without compaction it would reach 10,001 nodes here).
+  EventQueue q;
+  int fired = 0;
+  q.schedule(kSecond, [&] { ++fired; });
+  for (int i = 0; i < 10'000; ++i) {
+    q.cancel(q.schedule(200 * kMillisecond + i, [&] { ++fired; }));
+  }
+  EXPECT_EQ(q.size(), 1u);
+  EXPECT_EQ(q.max_live(), 2u);
+  EXPECT_LE(q.slab_capacity(), 2 * q.max_live() + 65);
+  while (q.run_next() != kTimeNever) {
+  }
+  EXPECT_EQ(fired, 1);
+}
+
+TEST(EventQueue, MatchesOrderedSetUnderRandomChurn) {
+  // Differential check against a std::set of (time, schedule index) keys.
+  // Callbacks schedule short events with many same-time ties, re-arm
+  // far-future timers (cancel + schedule, the churn that triggers
+  // compaction), and cancel random handles: live ones, fired ones, their
+  // own, and stale ones whose slot compaction handed to a newer event.
+  struct Harness {
+    EventQueue q;
+    std::set<std::pair<Time, std::size_t>> ref;
+    std::vector<EventId> ids;
+    std::vector<Time> at;
+    std::vector<bool> cancelled;
+    std::vector<std::size_t> slot_owner;  // slot -> latest schedule index
+    std::array<std::size_t, 16> timers{};
+    std::mt19937_64 rng{17};
+    Time now = 0;
+    std::size_t fired = 0;
+    std::size_t out_of_order = 0;
+    std::size_t size_mismatches = 0;
+    std::size_t recycled_by_compaction = 0;
+    bool churn = true;
+
+    std::size_t schedule(Time t) {
+      const std::size_t k = ids.size();
+      ids.push_back(q.schedule(t, [this, k] { fire(k); }));
+      at.push_back(t);
+      cancelled.push_back(false);
+      ref.emplace(t, k);
+      const std::uint32_t slot = ids[k].slot;
+      if (slot == slot_owner.size()) {
+        slot_owner.push_back(k);
+      } else {
+        // Skimming frees only entries due by now; a later one was compacted.
+        const std::size_t prev = slot_owner[slot];
+        if (cancelled[prev] && at[prev] > now) ++recycled_by_compaction;
+        slot_owner[slot] = k;
+      }
+      return k;
+    }
+
+    void cancel(std::size_t k) {
+      if (ref.erase({at[k], k}) == 1) cancelled[k] = true;
+      q.cancel(ids[k]);
+    }
+
+    void fire(std::size_t k) {
+      if (ref.empty() || *ref.begin() != std::make_pair(now, k)) {
+        ++out_of_order;
+      } else {
+        ref.erase(ref.begin());
+      }
+      ++fired;
+      if (churn) {
+        schedule(now + static_cast<Time>(rng() % 4) * 10);
+        if (rng() % 4 == 0) schedule(now + static_cast<Time>(rng() % 4) * 10);
+        std::size_t& timer = timers[rng() % timers.size()];
+        cancel(timer);
+        timer = schedule(now + 1000 + static_cast<Time>(rng() % 8) * 10);
+        cancel(rng() % ids.size());
+        if (rng() % 8 == 0) cancel(k);
+      }
+      if (q.size() != ref.size()) ++size_mismatches;
+    }
+  };
+
+  Harness h;
+  for (std::size_t& timer : h.timers) timer = h.schedule(1000);
+  for (int i = 0; i < 300; ++i) h.schedule(static_cast<Time>(i % 7) * 10);
+  while (h.q.run_next_until(kTimeNever, &h.now)) {
+    if (h.fired >= 20'000) h.churn = false;
+  }
+  EXPECT_EQ(h.out_of_order, 0u);
+  EXPECT_EQ(h.size_mismatches, 0u);
+  EXPECT_TRUE(h.ref.empty());
+  EXPECT_TRUE(h.q.empty());
+  EXPECT_GT(h.recycled_by_compaction, 0u);
+  EXPECT_LE(h.q.slab_capacity(), 2 * h.q.max_live() + 64);
 }
 
 TEST(EventQueue, CancelledEntriesDoNotBlockSkim) {
