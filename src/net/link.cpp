@@ -36,39 +36,57 @@ Link::Link(sim::Simulator& sim, LinkId id, std::string name, Node* dst,
 }
 
 void Link::enqueue(PacketPtr pkt) {
-  if (down_) {
-    ++stats_.drops_down;
-    if (telemetry::enabled()) cells_.drops_down->add();
-    if (auto* fr = telemetry::flight()) {
-      fr->on_drop(pkt->uid, dst_ != nullptr ? dst_->id() : 0, name_,
-                  telemetry::JourneyOutcome::kDropLinkDown, sim_.now());
+  if (!admit(pkt.get(), 0, pkt->wire_size())) return;
+  queue_.push_back(std::move(pkt));
+  if (!busy_) start_tx();
+}
+
+void Link::enqueue_run(std::shared_ptr<const PacketRecipe> run) {
+  const auto wire = static_cast<std::int64_t>(run->wire_size);
+  for (std::uint32_t i = 0; i < run->count; ++i) {
+    if (!admit(nullptr, run->first_uid + i, wire)) continue;
+    // Grow the run's entry at the back of the queue, or open a new one: a
+    // dropped packet leaves a hole, and the transmitter may already have
+    // taken the entry's last packet.
+    if (!queue_.empty() && queue_.back() == nullptr &&
+        runs_.back().recipe == run && runs_.back().end == i) {
+      ++runs_.back().end;
+    } else {
+      runs_.push_back(Run{run, i, i + 1});
+      queue_.push_back(PacketPtr{});
     }
-    return;
+    if (!busy_) start_tx();
+  }
+}
+
+bool Link::admit(Packet* pkt, std::uint64_t run_uid, std::int64_t wire) {
+  const auto lost = [&](std::uint64_t& count, telemetry::Counter* cell,
+                        telemetry::JourneyOutcome why) {
+    ++count;
+    if (telemetry::enabled()) cell->add();
+    if (auto* fr = telemetry::flight()) {
+      fr->on_drop(pkt != nullptr ? pkt->uid : run_uid,
+                  dst_ != nullptr ? dst_->id() : 0, name_, why, sim_.now());
+    }
+    return false;
+  };
+  if (down_) {
+    return lost(stats_.drops_down, cells_.drops_down,
+                telemetry::JourneyOutcome::kDropLinkDown);
   }
   if (fault_drop_prob_ > 0.0 && fault_rng_.uniform() < fault_drop_prob_) {
     // Injected gray failure: the packet vanishes with no observable signal
     // on the link itself — the only evidence is missing deliveries.
-    ++stats_.drops_fault;
-    if (telemetry::enabled()) cells_.drops_fault->add();
-    if (auto* fr = telemetry::flight()) {
-      fr->on_drop(pkt->uid, dst_ != nullptr ? dst_->id() : 0, name_,
-                  telemetry::JourneyOutcome::kDropFault, sim_.now());
-    }
-    return;
+    return lost(stats_.drops_fault, cells_.drops_fault,
+                telemetry::JourneyOutcome::kDropFault);
   }
-  const std::int64_t wire = pkt->wire_size();
   if (queue_bytes_ + wire > cfg_.queue_capacity_bytes) {
-    ++stats_.drops_overflow;
-    if (telemetry::enabled()) cells_.drops_overflow->add();
-    if (auto* fr = telemetry::flight()) {
-      fr->on_drop(pkt->uid, dst_ != nullptr ? dst_->id() : 0, name_,
-                  telemetry::JourneyOutcome::kDropOverflow, sim_.now());
-    }
-    return;
+    return lost(stats_.drops_overflow, cells_.drops_overflow,
+                telemetry::JourneyOutcome::kDropOverflow);
   }
   // DCTCP-style marking: mark the arriving packet when the instantaneous
   // queue occupancy is at or above the threshold K (paper §3.2: 20 pkts).
-  if (cfg_.ecn_marking &&
+  if (pkt != nullptr && cfg_.ecn_marking &&
       queue_bytes_ + fluid_queue_bytes_ >= cfg_.ecn_threshold_bytes) {
     bool fresh_mark = false;
     if (pkt->encap.present && pkt->encap.ecn.ect) {
@@ -83,26 +101,37 @@ void Link::enqueue(PacketPtr pkt) {
       if (telemetry::enabled()) cells_.ecn_marks->add();
     }
   }
-  queue_.push_back(std::move(pkt));
   queue_bytes_ += wire;
   stats_.max_queue_bytes = std::max(stats_.max_queue_bytes, queue_bytes_);
   if (telemetry::enabled()) {
     cells_.queue_high_watermark->update_max(static_cast<double>(queue_bytes_));
   }
-  if (!busy_) start_tx();
+  return true;
 }
 
 void Link::start_tx() {
   busy_ = true;
-  in_flight_ = std::move(queue_.front());
-  queue_.pop_front();
+  if (queue_.front() != nullptr) {
+    in_flight_ = std::move(queue_.front());
+    queue_.pop_front();
+  } else {
+    // The front entry is a run: build its next packet now.
+    Run& run = runs_.front();
+    in_flight_ = run.recipe->make(PacketPool::of(sim_), run.next++);
+    if (run.next == run.end) {
+      runs_.pop_front();
+      queue_.pop_front();
+    }
+  }
   // A deep FIFO's packets were written long ago and have left the cache by
   // the time they reach the head. Prefetch the packet kPrefetchAhead places
   // after this one, so the one line a transmission reads (the packet's
   // first: wire_size() here, the trace and INT flags in on_tx_done) is
-  // cached by its turn.
+  // cached by its turn. A run's entry has no packet to fetch yet.
   if (queue_.size() >= kPrefetchAhead) {
-    __builtin_prefetch(queue_[kPrefetchAhead - 1].get());
+    if (const Packet* ahead = queue_[kPrefetchAhead - 1].get()) {
+      __builtin_prefetch(ahead);
+    }
   }
   const std::int64_t wire = in_flight_->wire_size();
   queue_bytes_ -= wire;
@@ -121,23 +150,16 @@ void Link::start_tx() {
       memo_delay_ = serialization_delay(wire);
     }
   }
-  sim_.schedule_in(memo_delay_, [this] { on_tx_done(); });
+  sim_.schedule_in(memo_delay_,
+                   [this, gen = tx_gen_] { on_tx_done(gen); });
 }
 
-void Link::on_tx_done() {
+void Link::on_tx_done(std::uint32_t tx_gen) {
   CLOVE_PROF_SCOPE(prof::kLinkTx);
-  if (down_ || !in_flight_) {
-    // The link failed during serialization; the bits are lost.
-    if (in_flight_) {
-      if (auto* fr = telemetry::flight()) {
-        fr->on_drop(in_flight_->uid, dst_ != nullptr ? dst_->id() : 0, name_,
-                    telemetry::JourneyOutcome::kDropLinkDown, sim_.now());
-      }
-    }
-    in_flight_.reset();
-    busy_ = false;
-    return;
-  }
+  // The link went down during this serialization: down() already lost the
+  // packet and idled the transmitter, which may since have started a newer
+  // one with its own completion event.
+  if (tx_gen != tx_gen_) return;
   PacketPtr pkt = std::move(in_flight_);
   const std::int64_t wire = pkt->wire_size();
   dre_.on_transmit(sim_.now(), wire);
@@ -207,30 +229,43 @@ void Link::deliver_front() {
 
 void Link::down() {
   down_ = true;
-  const std::uint64_t flushed =
-      queue_.size() + propagating_.size() + (in_flight_ ? 1 : 0);
+  ++tx_gen_;
+  std::uint64_t unbuilt = 0;
+  for (std::size_t i = 0; i < runs_.size(); ++i) {
+    unbuilt += runs_[i].end - runs_[i].next;
+  }
+  const std::uint64_t flushed = queue_.size() - runs_.size() + unbuilt +
+                                propagating_.size() + (in_flight_ ? 1 : 0);
   stats_.drops_down += flushed;
   if (telemetry::enabled()) cells_.drops_down->add(flushed);
   if (auto* fr = telemetry::flight()) {
     // Finalize every flushed journey individually so the conservation
     // auditor can account for packets lost to the failure.
     const NodeId at = dst_ != nullptr ? dst_->id() : 0;
+    const auto drop = [&](std::uint64_t uid) {
+      fr->on_drop(uid, at, name_, telemetry::JourneyOutcome::kDropLinkDown,
+                  sim_.now());
+    };
     while (!queue_.empty()) {
-      fr->on_drop(queue_.front()->uid, at, name_,
-                  telemetry::JourneyOutcome::kDropLinkDown, sim_.now());
+      if (queue_.front() != nullptr) {
+        drop(queue_.front()->uid);
+      } else {
+        const Run& run = runs_.front();
+        for (std::uint32_t i = run.next; i < run.end; ++i) {
+          drop(run.recipe->first_uid + i);
+        }
+        runs_.pop_front();
+      }
       queue_.pop_front();
     }
     while (!propagating_.empty()) {
-      fr->on_drop(propagating_.front().second->uid, at, name_,
-                  telemetry::JourneyOutcome::kDropLinkDown, sim_.now());
+      drop(propagating_.front().second->uid);
       propagating_.pop_front();
     }
-    if (in_flight_) {
-      fr->on_drop(in_flight_->uid, at, name_,
-                  telemetry::JourneyOutcome::kDropLinkDown, sim_.now());
-    }
+    if (in_flight_) drop(in_flight_->uid);
   }
   queue_.clear();
+  runs_.clear();
   queue_bytes_ = 0;
   propagating_.clear();
   if (prop_wake_.valid()) {

@@ -1,6 +1,7 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <utility>
 
@@ -14,6 +15,7 @@
 namespace clove::net {
 
 class Node;
+class PacketRecipe;
 
 using LinkId = std::uint32_t;
 
@@ -39,6 +41,8 @@ struct LinkStats {
   std::uint64_t drops_fault{0};  ///< injected probabilistic silent drops
   std::uint64_t ecn_marks{0};
   std::int64_t max_queue_bytes{0};
+
+  bool operator==(const LinkStats&) const = default;
 };
 
 /// Observer for link state changes that alter effective capacity (down/up,
@@ -65,8 +69,14 @@ class Link {
   /// Offer a packet to the egress queue; may drop (overflow / link down).
   void enqueue(PacketPtr pkt);
 
-  /// Take the link down: queued and in-flight packets are lost, and no new
-  /// traffic is accepted until up() is called.
+  /// Offer every packet of `run` to the egress queue, in order, exactly as
+  /// `run->count` enqueue() calls would: each is admitted or dropped now,
+  /// under the same rules, but an admitted packet is only built when the
+  /// transmitter reaches it.
+  void enqueue_run(std::shared_ptr<const PacketRecipe> run);
+
+  /// Take the link down: queued (built or not) and in-flight packets are
+  /// lost, and no new traffic is accepted until up() is called.
   void down();
   void up();
   [[nodiscard]] bool is_down() const { return down_; }
@@ -172,8 +182,15 @@ class Link {
   void set_fluid_observer(FluidObserver* obs) { fluid_observer_ = obs; }
 
  private:
+  /// The admission rules every offered packet passes, in order: link down,
+  /// injected fault drop, drop-tail overflow, ECN marking, then the queue
+  /// charge and high-watermarks. `pkt` is null for an unbuilt run packet
+  /// (never ECN-capable, so never marked), which is known by `run_uid`; a
+  /// built packet's own uid is read only if it is dropped. Returns whether
+  /// the packet was queued; a lost one is counted and reported here.
+  bool admit(Packet* pkt, std::uint64_t run_uid, std::int64_t wire);
   void start_tx();
-  void on_tx_done();
+  void on_tx_done(std::uint32_t tx_gen);
   void deliver_front();
 
   sim::Simulator& sim_;
@@ -183,13 +200,26 @@ class Link {
   int dst_in_port_;
   LinkConfig cfg_;
 
+  /// Packets [next, end) of a run, admitted but not built yet.
+  struct Run {
+    std::shared_ptr<const PacketRecipe> recipe;
+    std::uint32_t next{0};
+    std::uint32_t end{0};
+  };
+
   // Ring-buffer FIFOs: a deque here would allocate/free a block every few
   // dozen packets as elements cycle through; the rings go quiet once the
   // queue-depth high-watermark is reached (see util::RingDeque).
+  // Each null entry in queue_ stands for the next Run in runs_, in order.
   util::RingDeque<PacketPtr> queue_;
+  util::RingDeque<Run> runs_;
   std::int64_t queue_bytes_{0};
   bool busy_{false};
   PacketPtr in_flight_;            ///< packet currently being serialized
+  /// Bumped by down(): a tx-completion event scheduled before the link went
+  /// down carries an older value and is ignored, so it cannot complete a
+  /// packet that started serializing after the link came back up.
+  std::uint32_t tx_gen_{0};
   std::int64_t memo_bytes_{-1};    ///< last serialized wire size …
   sim::Time memo_delay_{0};        ///< … and its cached serialization delay
   /// Packets in the propagation pipe, with their delivery deadlines.

@@ -203,10 +203,13 @@ struct Packet {
   // 5-tuple (whose proto also tells a traceroute probe, Proto::kProbe,
   // from data), payload size, the INT stack, TTL, the inner ECN bits, the
   // hybrid trace flag, the cached wire hash, and the leading fields of
-  // EncapHeader (tuple / present / ecn). Discovery holds ~10^5 packets in
-  // flight at once, so the struct's size is the simulator's memory
-  // footprint; the cold tail is ordered by alignment to leave no holes,
-  // and state only a few packets need lives out of line (Cold, below).
+  // EncapHeader (tuple / present / ecn). The testbed's discovery burst
+  // keeps ~6.7 x 10^4 packets live at once in switch queues and behind
+  // host NICs (probes still queued at their own NIC stay unbuilt: see
+  // Link::enqueue_run), so the struct's size sets most of the simulator's
+  // memory footprint; the cold tail is ordered by alignment to leave no
+  // holes, and state only a few packets need lives out of line (Cold,
+  // below).
   // PacketLayout.HopFieldsInFirstLine and the static_assert after the
   // struct hold both properties.
 
@@ -313,7 +316,7 @@ struct Packet {
   friend struct PacketLayoutPeer;  // the layout test reads the cache's place
 };
 
-// Three cache lines, so ~10^5 packets in flight fit a 192-byte heap chunk.
+// Three cache lines: each live packet takes one 192-byte heap chunk.
 static_assert(sizeof(Packet) <= 192, "net::Packet must fit three cache lines");
 
 class PacketPool;

@@ -1,5 +1,6 @@
 #pragma once
 
+#include <cassert>
 #include <cstdint>
 #include <deque>
 #include <new>
@@ -39,7 +40,10 @@ class PacketPool {
 
   /// A reset packet with a fresh per-pool uid. Reuses a freed packet when
   /// one is available; allocates otherwise.
-  [[nodiscard]] PacketPtr acquire() {
+  [[nodiscard]] PacketPtr acquire() { return acquire(++next_uid_); }
+
+  /// A reset packet carrying `uid`, which reserve_uids() handed out.
+  [[nodiscard]] PacketPtr acquire(std::uint64_t uid) {
     Packet* p;
     if (free_.empty()) {
       p = new Packet;
@@ -51,8 +55,17 @@ class PacketPool {
       ::new (static_cast<void*>(p)) Packet;  // one in-place write, no temporary
       ++reused_;
     }
-    p->uid = ++next_uid_;
+    p->uid = uid;
     return PacketPtr(p, PacketDeleter{this});
+  }
+
+  /// Reserve `n` consecutive uids for packets built later (a PacketRecipe's
+  /// run) and return the first. Packets acquired meanwhile get the uids
+  /// after them, exactly as if all `n` had been acquired now.
+  [[nodiscard]] std::uint64_t reserve_uids(std::uint64_t n) {
+    const std::uint64_t first = next_uid_ + 1;
+    next_uid_ += n;
+    return first;
   }
 
   void release(Packet* p) noexcept {
@@ -116,6 +129,39 @@ class PacketPool {
   std::uint64_t next_uid_{0};
   std::uint64_t allocated_{0};
   std::uint64_t reused_{0};
+};
+
+/// A run of `count` packets described instead of built: packet i gets uid
+/// `first_uid + i` (reserved with PacketPool::reserve_uids) and is filled in
+/// by build(). Link::enqueue_run() queues a run as one entry and builds each
+/// packet only when its transmitter reaches it, so a burst of thousands of
+/// probes does not hold thousands of packets while it waits.
+///
+/// The link admits a run's packets without building them, so it cannot
+/// ECN-mark them: every packet of a run has wire size `wire_size` and is not
+/// ECN-capable. make() asserts both.
+class PacketRecipe {
+ public:
+  PacketRecipe() = default;
+  PacketRecipe(const PacketRecipe&) = delete;
+  PacketRecipe& operator=(const PacketRecipe&) = delete;
+  virtual ~PacketRecipe() = default;
+
+  /// Fill in packet `i` of the run on a freshly reset packet.
+  virtual void build(Packet& p, std::uint32_t i) const = 0;
+
+  /// Packet `i` of the run, acquired from `pool` and built.
+  [[nodiscard]] PacketPtr make(PacketPool& pool, std::uint32_t i) const {
+    PacketPtr p = pool.acquire(first_uid + i);
+    build(*p, i);
+    assert(p->wire_size() == wire_size);
+    assert(!(p->encap.present ? p->encap.ecn.ect : p->ecn.ect));
+    return p;
+  }
+
+  std::uint64_t first_uid{0};
+  std::uint32_t count{0};
+  std::uint32_t wire_size{Packet::kHeaderBytes};
 };
 
 }  // namespace clove::net

@@ -24,7 +24,9 @@ Hypervisor::Hypervisor(net::NodeId id, std::string name, sim::Simulator& sim,
   cells_.forged_ece = reg.counter("hyp.forged_ece", labels);
   traceroute_ = std::make_unique<TracerouteDaemon>(
       sim_, ip(), cfg_.discovery,
-      [this](net::PacketPtr p) { nic_send(std::move(p)); },
+      [this](std::shared_ptr<const net::PacketRecipe> run) {
+        nic_send(std::move(run));
+      },
       [this](net::IpAddr dst, const PathSet& ps) {
         policy_->on_paths_updated(dst, ps);
         if (path_health_) path_health_->on_paths_updated(dst, ps);
@@ -101,6 +103,11 @@ void Hypervisor::prof_note_tables(prof::Profiler& p) const {
 void Hypervisor::nic_send(net::PacketPtr pkt) {
   if (port_count() == 0) return;  // unwired host (unit tests)
   ports_[0]->enqueue(std::move(pkt));
+}
+
+void Hypervisor::nic_send(std::shared_ptr<const net::PacketRecipe> run) {
+  if (port_count() == 0) return;  // unwired host (unit tests)
+  ports_[0]->enqueue_run(std::move(run));
 }
 
 // ---------------------------------------------------------------------------

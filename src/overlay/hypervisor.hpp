@@ -141,6 +141,7 @@ class Hypervisor : public net::Node,
   };
 
   void nic_send(net::PacketPtr pkt);
+  void nic_send(std::shared_ptr<const net::PacketRecipe> run);
   void handle_probe(net::PacketPtr pkt);
   void handle_probe_reply(const net::Packet& pkt);
   void handle_data(net::PacketPtr pkt);

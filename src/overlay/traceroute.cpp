@@ -4,10 +4,45 @@
 #include <limits>
 #include <unordered_set>
 
+#include "net/packet_pool.hpp"
 #include "prof/prof.hpp"
 #include "sim/logging.hpp"
 
 namespace clove::overlay {
+
+namespace {
+
+/// The probes of one round, or of one keepalive, as a run: probe i tests
+/// ports[i / rungs] at TTL first_ttl + i % rungs. It owns a copy of all it
+/// reads, so a later round cannot rewrite probes still queued at the NIC.
+class ProbeRecipe final : public net::PacketRecipe {
+ public:
+  void build(net::Packet& p, std::uint32_t i) const override {
+    const std::uint16_t port = ports[i / rungs];
+    const auto ttl =
+        static_cast<std::uint8_t>(first_ttl + static_cast<int>(i % rungs));
+    p.encap.present = true;
+    p.encap.tuple = net::FiveTuple{src, dst, port, kSttPort, net::Proto::kStt};
+    p.inner = p.encap.tuple;  // probes carry no tenant payload
+    p.inner.proto = net::Proto::kProbe;
+    p.payload = 0;
+    p.ttl = ttl;
+    p.probe.probe_id = probe_id;
+    p.probe.probed_port = port;
+    p.probe.hop_index = ttl;
+    p.sent_at = sent_at;
+  }
+
+  net::IpAddr src{net::kIpNone};
+  net::IpAddr dst{net::kIpNone};
+  std::uint32_t probe_id{0};
+  int first_ttl{1};
+  std::uint32_t rungs{1};
+  sim::Time sent_at{0};
+  std::vector<std::uint16_t> ports;  ///< in send order
+};
+
+}  // namespace
 
 TracerouteDaemon::TracerouteDaemon(sim::Simulator& sim, net::IpAddr self,
                                    const TracerouteConfig& cfg, SendFn send,
@@ -59,24 +94,7 @@ void TracerouteDaemon::start_round(std::uint32_t slot) {
   r.dest_ingress.assign(r.ports.size(), 0);
   r.hops.assign(r.ports.size() * hop_stride_, PathHop{});
 
-  for (std::uint16_t port : r.ports) {
-    for (int ttl = 1; ttl <= cfg_.max_ttl; ++ttl) {
-      auto probe = net::make_packet(sim_);
-      probe->encap.present = true;
-      probe->encap.tuple = net::FiveTuple{self_, dst, port, kSttPort,
-                                          net::Proto::kStt};
-      probe->inner = probe->encap.tuple;  // probes carry no tenant payload
-      probe->inner.proto = net::Proto::kProbe;
-      probe->payload = 0;
-      probe->ttl = static_cast<std::uint8_t>(ttl);
-      probe->probe.probe_id = r.id;
-      probe->probe.probed_port = port;
-      probe->probe.hop_index = static_cast<std::uint8_t>(ttl);
-      probe->sent_at = sim_.now();
-      ++probes_sent_;
-      send_(std::move(probe));
-    }
-  }
+  send_probes(dst, r.id, r.ports, 1, cfg_.max_ttl);
 
   sim_.schedule_in(cfg_.probe_timeout, [this, slot] { finish_round(slot); });
 }
@@ -87,21 +105,9 @@ void TracerouteDaemon::keepalive(net::IpAddr dst, std::uint16_t port,
   id_owner_.push_back(kNoOwner);
   keepalives_.emplace(id, Keepalive{dst, port, std::move(done)});
 
-  auto probe = net::make_packet(sim_);
-  probe->encap.present = true;
-  probe->encap.tuple =
-      net::FiveTuple{self_, dst, port, kSttPort, net::Proto::kStt};
-  probe->inner = probe->encap.tuple;
-  probe->inner.proto = net::Proto::kProbe;
-  probe->payload = 0;
-  probe->ttl = 64;  // no ladder: only the destination's answer matters
-  probe->probe.probe_id = id;
-  probe->probe.probed_port = port;
-  probe->probe.hop_index = 64;
-  probe->sent_at = sim_.now();
-  ++probes_sent_;
   ++keepalives_sent_;
-  send_(std::move(probe));
+  // No ladder: only the destination's answer matters.
+  send_probes(dst, id, {port}, 64, 1);
 
   sim_.schedule_in(cfg_.probe_timeout, [this, id] {
     auto it = keepalives_.find(id);
@@ -110,6 +116,25 @@ void TracerouteDaemon::keepalive(net::IpAddr dst, std::uint16_t port,
     keepalives_.erase(it);
     if (ka.done) ka.done(ka.dst, ka.port, false);
   });
+}
+
+void TracerouteDaemon::send_probes(net::IpAddr dst, std::uint32_t probe_id,
+                                   const std::vector<std::uint16_t>& ports,
+                                   int first_ttl, int rungs) {
+  if (ports.empty() || rungs <= 0) return;
+  auto run = std::make_shared<ProbeRecipe>();
+  run->count = static_cast<std::uint32_t>(ports.size()) *
+               static_cast<std::uint32_t>(rungs);
+  run->first_uid = net::PacketPool::of(sim_).reserve_uids(run->count);
+  run->src = self_;
+  run->dst = dst;
+  run->probe_id = probe_id;
+  run->first_ttl = first_ttl;
+  run->rungs = static_cast<std::uint32_t>(rungs);
+  run->sent_at = sim_.now();
+  run->ports = ports;
+  probes_sent_ += run->count;
+  send_(std::move(run));
 }
 
 bool TracerouteDaemon::evict_port(net::IpAddr dst, std::uint16_t port) {

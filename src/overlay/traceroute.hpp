@@ -2,6 +2,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <memory>
 #include <unordered_map>
 #include <vector>
 
@@ -9,6 +10,10 @@
 #include "overlay/paths.hpp"
 #include "sim/random.hpp"
 #include "sim/simulator.hpp"
+
+namespace clove::net {
+class PacketRecipe;
+}  // namespace clove::net
 
 namespace clove::overlay {
 
@@ -30,8 +35,10 @@ struct TracerouteConfig {
 /// number of links with paths already picked").
 class TracerouteDaemon {
  public:
-  /// Transmits an already-encapsulated probe packet out the host NIC.
-  using SendFn = std::function<void(net::PacketPtr)>;
+  /// Transmits a run of already-encapsulated probes out the host NIC (see
+  /// net::Link::enqueue_run): a whole round's TTL ladders, or one keepalive.
+  using SendFn =
+      std::function<void(std::shared_ptr<const net::PacketRecipe>)>;
   /// Fired when a round completes with a fresh path set for `dst`.
   using PathsCallback = std::function<void(net::IpAddr dst, const PathSet&)>;
   /// Result of a single-port keepalive: alive iff the destination answered
@@ -101,6 +108,11 @@ class TracerouteDaemon {
   /// Index of dst's state in dsts_, created on first use.
   std::uint32_t slot_of(net::IpAddr dst);
   void start_round(std::uint32_t slot);
+  /// Send probe `probe_id` to `dst` as one run: every port in `ports`, in
+  /// order, at each TTL of first_ttl .. first_ttl + rungs - 1.
+  void send_probes(net::IpAddr dst, std::uint32_t probe_id,
+                   const std::vector<std::uint16_t>& ports, int first_ttl,
+                   int rungs);
   void finish_round(std::uint32_t slot);
   void schedule_next(std::uint32_t slot);
 

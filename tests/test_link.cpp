@@ -3,8 +3,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <memory>
+#include <vector>
+
 #include "net/link.hpp"
+#include "net/packet_pool.hpp"
 #include "sim/simulator.hpp"
+#include "telemetry/scope.hpp"
 #include "test_util.hpp"
 
 namespace clove::net {
@@ -13,6 +19,23 @@ namespace {
 using clove::testutil::SinkNode;
 using clove::testutil::make_data;
 using clove::testutil::tuple;
+
+/// A terminal node that records every packet delivered to it and when.
+class TimedSink : public Node {
+ public:
+  explicit TimedSink(sim::Simulator& sim) : Node(2, "timed"), sim_(sim) {}
+
+  void receive(PacketPtr pkt, int /*in_port*/) override {
+    at.push_back(sim_.now());
+    received.push_back(std::move(pkt));
+  }
+
+  std::vector<sim::Time> at;
+  std::vector<PacketPtr> received;
+
+ private:
+  sim::Simulator& sim_;
+};
 
 class LinkTest : public ::testing::Test {
  protected:
@@ -155,6 +178,28 @@ TEST_F(LinkTest, DownUpNoEarlyDeliveryFromStaleEvents) {
   EXPECT_EQ(sink.received[0]->payload, 500u);
 }
 
+TEST_F(LinkTest, FlapDuringSerializationKeepsLineRate) {
+  TimedSink timed(sim);
+  Link link(sim, 0, "l", &timed, 0, cfg());
+  link.enqueue(make_data(tuple(10, 1), 0, 1000));  // in service until 1078
+  // Flap mid-serialization and send two more: the first packet's completion
+  // event must not complete the new one early, which would put two
+  // transmissions on the wire at once.
+  sim.schedule_at(900, [&link] {
+    link.down();
+    link.up();
+    link.enqueue(make_data(tuple(10, 1), 1, 1000));
+    link.enqueue(make_data(tuple(10, 1), 2, 1000));
+  });
+  sim.run();
+  const sim::Time ser = link.serialization_delay(1000 + Packet::kHeaderBytes);
+  const sim::Time prop = cfg().propagation;
+  EXPECT_EQ(timed.at, (std::vector<sim::Time>{900 + ser + prop,
+                                              900 + 2 * ser + prop}));
+  EXPECT_EQ(link.stats().tx_packets, 2u);
+  EXPECT_EQ(link.stats().drops_down, 1u);
+}
+
 TEST_F(LinkTest, IntTelemetryAppendsUtilization) {
   LinkConfig c = cfg();
   c.int_telemetry = true;
@@ -212,6 +257,173 @@ TEST_F(LinkTest, UtilizationRisesUnderLoad) {
   }
   sim.run();
   EXPECT_GT(link.utilization(), 0.5);
+}
+
+// ---------------------------------------------------------------------------
+// Runs: a PacketRecipe enqueued as one entry must be indistinguishable from
+// its packets enqueued one by one
+// ---------------------------------------------------------------------------
+
+/// Packet i of the run carries seq i from source port 2000 + i.
+class SeqRecipe final : public PacketRecipe {
+ public:
+  explicit SeqRecipe(std::uint32_t payload) : payload_(payload) {
+    wire_size = payload + Packet::kHeaderBytes;
+  }
+  void build(Packet& p, std::uint32_t i) const override {
+    p.inner = tuple(10, 1, static_cast<std::uint16_t>(2000 + i));
+    p.payload = payload_;
+    p.tcp.seq = i;
+  }
+
+ private:
+  std::uint32_t payload_;
+};
+
+struct RunScenario {
+  std::uint32_t prefill{0};   ///< 1078-byte packets queued before the run
+  std::uint32_t count{0};     ///< packets in the run
+  std::uint32_t payload{100};
+  double fault_drop{0.0};
+  sim::Time down_at{-1};      ///< take the link down then; -1: never
+};
+
+struct Delivery {
+  sim::Time at{0};
+  std::uint64_t uid{0};
+  FiveTuple inner{};
+  std::uint64_t seq{0};
+  std::uint32_t payload{0};
+  bool operator==(const Delivery&) const = default;
+};
+
+struct Loss {
+  std::uint64_t uid{0};
+  telemetry::JourneyOutcome outcome{};
+  sim::Time at{0};
+  bool operator==(const Loss&) const = default;
+};
+
+struct RunOutcome {
+  std::vector<Delivery> delivered;
+  std::vector<Loss> lost;  ///< the flight recorder's on_drop record
+  LinkStats stats;
+};
+
+/// Drive `sc` through a fresh link, the run either enqueued as one entry or
+/// materialized and enqueued packet by packet. One more packet follows it.
+RunOutcome drive(const RunScenario& sc, bool as_run) {
+  telemetry::ScopeSettings settings;
+  settings.enabled = true;
+  settings.flight.mode = telemetry::FlightMode::kFull;
+  telemetry::Scope scope{settings};
+  telemetry::ScopeGuard guard(scope);
+  telemetry::FlightRecorder& fr = *scope.flight_recorder();
+
+  sim::Simulator sim;
+  TimedSink sink(sim);
+  LinkConfig c;
+  c.rate_bytes_per_sec = 1e9;
+  c.propagation = 1000;
+  c.queue_capacity_bytes = 10'000;
+  c.ecn_threshold_bytes = 4'000;
+  Link link(sim, 0, "l", &sink, 0, c);
+  if (sc.fault_drop > 0.0) link.set_fault_drop(sc.fault_drop, 42);
+  PacketPool& pool = PacketPool::of(sim);
+  // A journey per uid, so every on_drop the link reports is recorded.
+  const auto track = [&](std::uint64_t uid) {
+    fr.on_pick(uid, 10, "h", {10, 1, 0, 0}, 1, 0, 0, "test", 0.0, 0, 0,
+               sim.now());
+  };
+  const auto send_one = [&](std::uint32_t payload) {
+    PacketPtr p = make_packet(sim);
+    p->inner = tuple(10, 1);
+    p->payload = payload;
+    track(p->uid);
+    link.enqueue(std::move(p));
+  };
+
+  for (std::uint32_t i = 0; i < sc.prefill; ++i) send_one(1000);
+  auto run = std::make_shared<SeqRecipe>(sc.payload);
+  run->count = sc.count;
+  run->first_uid = pool.reserve_uids(sc.count);
+  for (std::uint32_t i = 0; i < sc.count; ++i) track(run->first_uid + i);
+  if (as_run) {
+    link.enqueue_run(run);
+  } else {
+    for (PacketPtr& p : testutil::materialize(sim, *run)) {
+      link.enqueue(std::move(p));
+    }
+  }
+  send_one(50);
+  if (sc.down_at >= 0) sim.schedule_at(sc.down_at, [&link] { link.down(); });
+  sim.run();
+
+  RunOutcome out;
+  for (std::size_t i = 0; i < sink.received.size(); ++i) {
+    const Packet& p = *sink.received[i];
+    out.delivered.push_back(
+        {sink.at[i], p.uid, p.inner, p.tcp.seq, p.payload});
+  }
+  const std::uint64_t last_uid = make_packet(sim)->uid;
+  for (std::uint64_t uid = 1; uid < last_uid; ++uid) {
+    if (const telemetry::Journey* j = fr.find_journey(uid)) {
+      out.lost.push_back({uid, j->outcome, j->t_end});
+    }
+  }
+  out.stats = link.stats();
+  return out;
+}
+
+/// Runs `sc` both ways and expects identical outcomes; returns one of them.
+RunOutcome expect_run_matches(const RunScenario& sc) {
+  const RunOutcome per_packet = drive(sc, /*as_run=*/false);
+  const RunOutcome run = drive(sc, /*as_run=*/true);
+  EXPECT_EQ(run.delivered, per_packet.delivered);
+  EXPECT_EQ(run.lost, per_packet.lost);
+  EXPECT_EQ(run.stats, per_packet.stats);
+  EXPECT_FALSE(per_packet.delivered.empty());
+  return per_packet;
+}
+
+TEST(Link, RunMatchesPerPacketEnqueue) {
+  {
+    SCOPED_TRACE("idle queue");
+    const RunOutcome o = expect_run_matches({.count = 8});
+    EXPECT_EQ(o.delivered.size(), 9u);
+  }
+  {
+    SCOPED_TRACE("nearly full queue: overflow truncates the run");
+    const RunOutcome o =
+        expect_run_matches({.prefill = 9, .count = 12, .payload = 200});
+    EXPECT_GT(o.stats.drops_overflow, 0u);
+    EXPECT_LT(o.stats.drops_overflow, 12u);
+  }
+  {
+    SCOPED_TRACE("fault drops leave holes in the run");
+    const RunOutcome o =
+        expect_run_matches({.count = 40, .fault_drop = 0.3});
+    EXPECT_GT(o.stats.drops_fault, 5u);
+    EXPECT_LT(o.stats.drops_fault, 35u);
+  }
+  {
+    SCOPED_TRACE("down() flushes unbuilt packets");
+    const RunOutcome o =
+        expect_run_matches({.count = 20, .payload = 500, .down_at = 2000});
+    EXPECT_GT(o.stats.drops_down, 10u);
+    const auto down =
+        std::count_if(o.lost.begin(), o.lost.end(), [](const Loss& l) {
+          return l.outcome == telemetry::JourneyOutcome::kDropLinkDown;
+        });
+    EXPECT_EQ(static_cast<std::uint64_t>(down), o.stats.drops_down);
+  }
+  {
+    SCOPED_TRACE("down() with holes and a packet behind the run");
+    const RunOutcome o = expect_run_matches(
+        {.prefill = 2, .count = 30, .fault_drop = 0.3, .down_at = 2500});
+    EXPECT_GT(o.stats.drops_fault, 0u);
+    EXPECT_GT(o.stats.drops_down, 10u);
+  }
 }
 
 }  // namespace

@@ -4,9 +4,11 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <unordered_set>
 
 #include "harness/experiment.hpp"
 #include "lb/clove_ecn.hpp"
+#include "net/packet_pool.hpp"
 #include "net/topology.hpp"
 #include "overlay/hypervisor.hpp"
 #include "overlay/traceroute.hpp"
@@ -99,19 +101,91 @@ TEST(SelectDisjoint, EmptyInput) {
 // One daemon driven by hand: probes are captured, replies fed to on_reply
 // ---------------------------------------------------------------------------
 
+using RunPtr = std::shared_ptr<const net::PacketRecipe>;
+
+/// A send function that builds every probe of each run and hands it to
+/// `sink`, in the order the NIC would transmit them.
+TracerouteDaemon::SendFn each_probe(sim::Simulator& sim,
+                                    std::function<void(net::PacketPtr)> sink) {
+  return [&sim, sink = std::move(sink)](const RunPtr& run) {
+    for (net::PacketPtr& p : testutil::materialize(sim, *run)) {
+      sink(std::move(p));
+    }
+  };
+}
+
 TEST(TracerouteDaemon, SampleCountIsClampedToEphemeralRange) {
   sim::Simulator sim;
   TracerouteConfig cfg;
   cfg.sample_ports = kEphemeralCount + 1000;  // more than there are ports
   cfg.max_ttl = 1;
   std::set<std::uint16_t> ports;
-  TracerouteDaemon d(
-      sim, /*self=*/1, cfg,
-      [&ports](net::PacketPtr p) { ports.insert(p->probe.probed_port); },
-      nullptr);
+  TracerouteDaemon d(sim, /*self=*/1, cfg,
+                     each_probe(sim,
+                                [&ports](net::PacketPtr p) {
+                                  ports.insert(p->probe.probed_port);
+                                }),
+                     nullptr);
   d.probe_now(2);  // must return: every ephemeral port, each probed once
   EXPECT_EQ(d.probes_sent(), kEphemeralCount);
   EXPECT_EQ(ports.size(), kEphemeralCount);
+}
+
+TEST(TracerouteDaemon, RoundIsOneRunOfPortsTimesTtlLadder) {
+  sim::Simulator sim;
+  const TracerouteConfig cfg;  // 32 ports x 6 TTLs
+  std::vector<RunPtr> runs;
+  TracerouteDaemon d(sim, /*self=*/1, cfg,
+                     [&runs](RunPtr run) { runs.push_back(std::move(run)); },
+                     nullptr);
+  (void)net::make_packet(sim);  // uid 1; the round reserves the ones after it
+  sim.schedule_at(7, [&d] { d.probe_now(2); });
+  sim.run(8);
+
+  ASSERT_EQ(runs.size(), 1u);
+  const net::PacketRecipe& run = *runs[0];
+  EXPECT_EQ(run.count, 192u);
+  EXPECT_EQ(run.first_uid, 2u);
+  EXPECT_EQ(d.probes_sent(), 192u);
+  // Packets acquired after the round get the uids after its reserved block.
+  EXPECT_EQ(net::make_packet(sim)->uid, 2u + 192u);
+
+  // The send order is the daemon's port sample in unordered_set order, each
+  // port's whole TTL ladder in turn.
+  sim::Rng rng(0x7ace ^ (std::uint64_t{1} << 20));
+  std::unordered_set<std::uint16_t> sample;
+  while (sample.size() < 32) {
+    sample.insert(static_cast<std::uint16_t>(
+        kEphemeralBase + rng.uniform_int(kEphemeralCount)));
+  }
+  const std::vector<std::uint16_t> ports(sample.begin(), sample.end());
+  const auto check = [&](const std::vector<net::PacketPtr>& probes) {
+    ASSERT_EQ(probes.size(), 192u);
+    for (std::size_t i = 0; i < probes.size(); ++i) {
+      const net::Packet& p = *probes[i];
+      const std::uint16_t port = ports[i / 6];
+      const auto ttl = static_cast<std::uint8_t>(1 + i % 6);
+      EXPECT_EQ(p.uid, 2u + i);
+      EXPECT_EQ(p.encap.tuple,
+                (net::FiveTuple{1, 2, port, kSttPort, net::Proto::kStt}));
+      EXPECT_EQ(p.inner.proto, net::Proto::kProbe);
+      EXPECT_EQ(p.ttl, ttl);
+      EXPECT_EQ(p.probe.hop_index, ttl);
+      EXPECT_EQ(p.probe.probed_port, port);
+      EXPECT_EQ(p.probe.probe_id, 1u);
+      EXPECT_EQ(p.sent_at, 7);
+      EXPECT_EQ(p.wire_size(), run.wire_size);
+    }
+  };
+  check(testutil::materialize(sim, run));
+
+  // A later round leaves the probes of this one, possibly still queued at
+  // a slow NIC, as they were.
+  sim.run(cfg.probe_timeout + 10);
+  d.probe_now(2);
+  ASSERT_EQ(runs.size(), 2u);
+  EXPECT_EQ(runs[1]->first_uid, 2u + 192u + 1u);
+  check(testutil::materialize(sim, run));
 }
 
 class HandDrivenDaemon : public ::testing::Test {
@@ -120,7 +194,10 @@ class HandDrivenDaemon : public ::testing::Test {
 
   HandDrivenDaemon()
       : daemon(sim, /*self=*/1, config(),
-               [this](net::PacketPtr p) { sent.push_back(p->probe); },
+               each_probe(sim,
+                          [this](net::PacketPtr p) {
+                            sent.push_back(p->probe);
+                          }),
                nullptr) {}
 
   static TracerouteConfig config() {
@@ -352,6 +429,9 @@ TEST(DiscoveryRound, TestbedFirstRoundIsPinned) {
   EXPECT_EQ(tb.simulator().events_processed(), 1072988u);
   EXPECT_EQ(overflow, 18092u);
   EXPECT_EQ(probes, 98304u);
+  // Probes queued at a NIC stay unbuilt until its transmitter reaches them
+  // (net::Link::enqueue_run), so the burst never holds all 98,304 at once.
+  EXPECT_EQ(net::PacketPool::of(tb.simulator()).allocated(), 67170u);
   EXPECT_EQ(pairs, 491);
   EXPECT_EQ(paths, 1777u);
   EXPECT_EQ(h, 0xfd3b028f9dee1494ull);

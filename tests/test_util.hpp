@@ -8,6 +8,7 @@
 #include "net/link.hpp"
 #include "net/node.hpp"
 #include "net/packet.hpp"
+#include "net/packet_pool.hpp"
 #include "sim/simulator.hpp"
 
 namespace clove::testutil {
@@ -34,6 +35,17 @@ inline net::PacketPtr make_data(const net::FiveTuple& t, std::uint64_t seq,
   p->tcp.seq = seq;
   p->payload = len;
   return p;
+}
+
+/// Every packet of `run`, built in order from `sim`'s pool exactly as a link
+/// builds each one when its transmitter reaches it.
+inline std::vector<net::PacketPtr> materialize(sim::Simulator& sim,
+                                               const net::PacketRecipe& run) {
+  std::vector<net::PacketPtr> pkts;
+  for (std::uint32_t i = 0; i < run.count; ++i) {
+    pkts.push_back(run.make(net::PacketPool::of(sim), i));
+  }
+  return pkts;
 }
 
 inline net::FiveTuple tuple(net::IpAddr src, net::IpAddr dst,
