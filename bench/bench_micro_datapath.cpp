@@ -295,6 +295,49 @@ void BM_EventQueue_TimerChurn(benchmark::State& state) {
 }
 BENCHMARK(BM_EventQueue_TimerChurn);
 
+/// The mix the workloads schedule: every packet hop is a tx completion
+/// followed by a propagation wake. kLinks links each alternate the two, with
+/// the six most frequent serialization delays recorded in the perfbench
+/// workloads (15 ns to 1.23 us) and 1 or 5 us of propagation, and every wake
+/// re-arms one of kTimers 200 ms RTO timers (cancel + schedule), as an ACK
+/// does in TcpSender.
+struct LinkMix {
+  static constexpr int kLinks = 96;
+  static constexpr std::size_t kTimers = 32;
+  static constexpr std::array<sim::Time, 6> kTx{15, 28, 62, 113, 307, 1230};
+  static constexpr std::array<sim::Time, 2> kProp{1 * sim::kMicrosecond,
+                                                  5 * sim::kMicrosecond};
+  sim::EventQueue q;
+  sim::Time now = 0;
+  std::array<sim::EventId, kTimers> rto{};
+  std::size_t next_rto = 0;
+  std::uint64_t timeouts = 0;
+
+  void tx_done(int link) {
+    q.schedule(now + kProp[(link / kTx.size()) % kProp.size()],
+               [this, link] { wake(link); });
+  }
+
+  void wake(int link) {
+    sim::EventId& timer = rto[next_rto++ % kTimers];
+    q.cancel(timer);
+    timer = q.schedule(now + 200 * sim::kMillisecond, [this] { ++timeouts; });
+    q.schedule(now + kTx[link % kTx.size()], [this, link] { tx_done(link); });
+  }
+};
+
+void BM_EventQueue_LinkMix(benchmark::State& state) {
+  LinkMix m;
+  for (int link = 0; link < LinkMix::kLinks; ++link) {
+    m.q.schedule(link, [&m, link] { m.tx_done(link); });
+  }
+  const std::uint64_t a0 = alloc_count();
+  for (auto _ : state) m.q.run_next_until(sim::kTimeNever, &m.now);
+  report_events(state, alloc_count() - a0);
+  benchmark::DoNotOptimize(m.timeouts);
+}
+BENCHMARK(BM_EventQueue_LinkMix);
+
 void BM_PacketEvent_Pooled(benchmark::State& state) {
   // The steady-state datapath op: acquire a pooled packet, schedule an event
   // owning it (inline in the SmallFn buffer), fire it, packet returns to the

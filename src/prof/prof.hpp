@@ -275,8 +275,9 @@ class Profiler {
 
 namespace detail {
 /// The profiler scopes record into on this thread; null when CLOVE_PROF=off
-/// (the common case) — the entire disabled cost is this one TLS load.
-extern thread_local Profiler* tl_prof;
+/// (the common case) — the entire disabled cost is this one TLS load, which
+/// constinit keeps free of the TLS-init wrapper call.
+extern constinit thread_local Profiler* tl_prof;
 [[nodiscard]] std::uint64_t now_ns();
 }  // namespace detail
 

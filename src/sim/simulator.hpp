@@ -26,14 +26,19 @@ class Simulator {
   [[nodiscard]] Time now() const { return now_; }
   [[nodiscard]] Rng& rng() { return rng_; }
 
-  /// Schedule `cb` to run `delay` from now (delay may be zero, never negative).
-  EventId schedule_in(Time delay, EventQueue::Callback cb) {
-    return queue_.schedule(now_ + (delay < 0 ? 0 : delay), std::move(cb));
+  /// Schedule `cb` (any `void()` callable) to run `delay` from now (delay may
+  /// be zero; a negative one is clamped to zero). The callable is forwarded
+  /// to the event queue, which builds it in place.
+  template <typename F>
+  EventId schedule_in(Time delay, F&& cb) {
+    return queue_.schedule(now_ + (delay < 0 ? 0 : delay),
+                           std::forward<F>(cb));
   }
 
   /// Schedule `cb` at absolute time `at` (clamped to now).
-  EventId schedule_at(Time at, EventQueue::Callback cb) {
-    return queue_.schedule(at < now_ ? now_ : at, std::move(cb));
+  template <typename F>
+  EventId schedule_at(Time at, F&& cb) {
+    return queue_.schedule(at < now_ ? now_ : at, std::forward<F>(cb));
   }
 
   void cancel(EventId id) { queue_.cancel(id); }

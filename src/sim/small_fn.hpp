@@ -1,5 +1,6 @@
 #pragma once
 
+#include <cassert>
 #include <cstddef>
 #include <cstring>
 #include <new>
@@ -30,16 +31,7 @@ class SmallFn {
                 !std::is_same_v<std::decay_t<F>, SmallFn> &&
                 std::is_invocable_r_v<void, std::decay_t<F>&>>>
   SmallFn(F&& f) {  // NOLINT(google-explicit-constructor)
-    using Fn = std::decay_t<F>;
-    if constexpr (sizeof(Fn) <= kInlineSize &&
-                  alignof(Fn) <= alignof(std::max_align_t) &&
-                  std::is_nothrow_move_constructible_v<Fn>) {
-      ::new (static_cast<void*>(buf_)) Fn(std::forward<F>(f));
-      ops_ = &InlineOps<Fn>::ops;
-    } else {
-      heap_ = new Fn(std::forward<F>(f));
-      ops_ = &HeapOps<Fn>::ops;
-    }
+    emplace(std::forward<F>(f));
   }
 
   SmallFn(SmallFn&& o) noexcept { move_from(o); }
@@ -53,6 +45,31 @@ class SmallFn {
   SmallFn(const SmallFn&) = delete;
   SmallFn& operator=(const SmallFn&) = delete;
   ~SmallFn() { reset(); }
+
+  /// Build `f` directly in this (empty) SmallFn — the event queue's
+  /// construct-in-place path, which skips a temporary SmallFn and its move.
+  template <typename F>
+  void emplace(F&& f) {
+    using Fn = std::decay_t<F>;
+    static_assert(!std::is_same_v<Fn, SmallFn>, "pass the callable itself");
+    assert(ops_ == nullptr);
+    if constexpr (sizeof(Fn) <= kInlineSize &&
+                  alignof(Fn) <= alignof(std::max_align_t) &&
+                  std::is_nothrow_move_constructible_v<Fn>) {
+      ::new (static_cast<void*>(buf_)) Fn(std::forward<F>(f));
+      ops_ = &InlineOps<Fn>::ops;
+    } else {
+      heap_ = new Fn(std::forward<F>(f));
+      ops_ = &HeapOps<Fn>::ops;
+    }
+  }
+
+  /// Destroy the target (releasing its captures) and leave this empty.
+  void reset() noexcept {
+    if (ops_ != nullptr && ops_->destroy != nullptr) ops_->destroy(target());
+    ops_ = nullptr;
+    heap_ = nullptr;
+  }
 
   void operator()() { ops_->invoke(target()); }
 
@@ -111,12 +128,6 @@ class SmallFn {
     }
     o.ops_ = nullptr;
     o.heap_ = nullptr;
-  }
-
-  void reset() noexcept {
-    if (ops_ != nullptr && ops_->destroy != nullptr) ops_->destroy(target());
-    ops_ = nullptr;
-    heap_ = nullptr;
   }
 
   alignas(std::max_align_t) unsigned char buf_[kInlineSize];

@@ -5,9 +5,9 @@
 namespace clove::telemetry {
 
 namespace detail {
-thread_local Scope* tl_scope = nullptr;
-thread_local bool tl_enabled = false;
-thread_local FlightRecorder* tl_flight = nullptr;
+constinit thread_local Scope* tl_scope = nullptr;
+constinit thread_local bool tl_enabled = false;
+constinit thread_local FlightRecorder* tl_flight = nullptr;
 }  // namespace detail
 
 ScopeSettings ScopeSettings::from_env() {

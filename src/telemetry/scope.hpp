@@ -71,16 +71,18 @@ class Scope {
   std::unique_ptr<FlightRecorder> flight_;
 };
 
+// constinit (constant-initialized, no dynamic TLS init) lets every user read
+// these as a plain TLS load, without a call through the TLS-init wrapper.
 namespace detail {
 /// The scope telemetry records into on this thread (null until a ScopeGuard
 /// installs one or current_scope() falls back to the lazy process scope).
-extern thread_local Scope* tl_scope;
+extern constinit thread_local Scope* tl_scope;
 /// Mirror of current scope's is_enabled(), kept thread-local so the hot-path
 /// guard stays a single TLS bool load.
-extern thread_local bool tl_enabled;
+extern constinit thread_local bool tl_enabled;
 /// The current scope's flight recorder when (and only when) its mode is not
 /// kOff — the datapath's disabled-cost guard is this one TLS pointer load.
-extern thread_local FlightRecorder* tl_flight;
+extern constinit thread_local FlightRecorder* tl_flight;
 }  // namespace detail
 
 /// The zero-cost-when-disabled guard: one thread-local bool load. Every

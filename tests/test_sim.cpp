@@ -242,13 +242,23 @@ TEST(Simulator, ClockAdvancesWithEvents) {
 TEST(Simulator, RunUntilStopsAtDeadline) {
   Simulator sim;
   int fired = 0;
+  std::vector<Time> order;
   sim.schedule_in(10, [&] { ++fired; });
   sim.schedule_in(20, [&] { ++fired; });
-  sim.schedule_in(30, [&] { ++fired; });
+  sim.schedule_in(30, [&] {
+    ++fired;
+    order.push_back(sim.now());
+  });
   sim.run(20);
   EXPECT_EQ(fired, 2);  // events at exactly the deadline run
+  // A run that stops short — here without running anything — leaves the
+  // clock at 20: an event scheduled at now still runs before the one at 30.
+  EXPECT_EQ(sim.run(25), 0u);
+  EXPECT_EQ(sim.now(), 20);
+  sim.schedule_in(0, [&] { order.push_back(sim.now()); });
   sim.run();
   EXPECT_EQ(fired, 3);
+  EXPECT_EQ(order, (std::vector<Time>{20, 30}));
 }
 
 TEST(Simulator, StopEndsRun) {
@@ -482,10 +492,13 @@ TEST(EventQueue, CancelChurnKeepsSlabBounded) {
 
 TEST(EventQueue, MatchesOrderedSetUnderRandomChurn) {
   // Differential check against a std::set of (time, schedule index) keys.
-  // Callbacks schedule short events with many same-time ties, re-arm
+  // Callbacks schedule short events with many same-time ties, events 1 ns
+  // to 2^28 ns ahead (so entries cross many radix buckets), re-arm
   // far-future timers (cancel + schedule, the churn that triggers
-  // compaction), and cancel random handles: live ones, fired ones, their
-  // own, and stale ones whose slot compaction handed to a newer event.
+  // compaction), peek at next_time(), and cancel random handles: live ones,
+  // fired ones, their own, and stale ones whose slot was freed early and
+  // handed to a newer event. The driver loop mixes in runs that stop short
+  // of the next event, each followed by an event scheduled at now.
   struct Harness {
     EventQueue q;
     std::set<std::pair<Time, std::size_t>> ref;
@@ -499,6 +512,7 @@ TEST(EventQueue, MatchesOrderedSetUnderRandomChurn) {
     std::size_t fired = 0;
     std::size_t out_of_order = 0;
     std::size_t size_mismatches = 0;
+    std::size_t peek_mismatches = 0;
     std::size_t recycled_by_compaction = 0;
     bool churn = true;
 
@@ -512,7 +526,8 @@ TEST(EventQueue, MatchesOrderedSetUnderRandomChurn) {
       if (slot == slot_owner.size()) {
         slot_owner.push_back(k);
       } else {
-        // Skimming frees only entries due by now; a later one was compacted.
+        // Skimming frees only entries due by now; a later one was dropped
+        // early, by compaction or by a bucket scan.
         const std::size_t prev = slot_owner[slot];
         if (cancelled[prev] && at[prev] > now) ++recycled_by_compaction;
         slot_owner[slot] = k;
@@ -535,6 +550,10 @@ TEST(EventQueue, MatchesOrderedSetUnderRandomChurn) {
       if (churn) {
         schedule(now + static_cast<Time>(rng() % 4) * 10);
         if (rng() % 4 == 0) schedule(now + static_cast<Time>(rng() % 4) * 10);
+        if (rng() % 2 == 0) {
+          const Time span = Time{1} << (rng() % 28);
+          schedule(now + span + static_cast<Time>(rng() % span));
+        }
         std::size_t& timer = timers[rng() % timers.size()];
         cancel(timer);
         timer = schedule(now + 1000 + static_cast<Time>(rng() % 8) * 10);
@@ -542,21 +561,69 @@ TEST(EventQueue, MatchesOrderedSetUnderRandomChurn) {
         if (rng() % 8 == 0) cancel(k);
       }
       if (q.size() != ref.size()) ++size_mismatches;
+      if (rng() % 4 == 0 && q.next_time() != next_ref()) ++peek_mismatches;
+    }
+
+    Time next_ref() const {
+      return ref.empty() ? kTimeNever : ref.begin()->first;
     }
   };
 
   Harness h;
   for (std::size_t& timer : h.timers) timer = h.schedule(1000);
   for (int i = 0; i < 300; ++i) h.schedule(static_cast<Time>(i % 7) * 10);
-  while (h.q.run_next_until(kTimeNever, &h.now)) {
-    if (h.fired >= 20'000) h.churn = false;
+  std::size_t stopped_short = 0;
+  for (;;) {
+    const Time until = h.rng() % 4 == 0
+                           ? h.now + static_cast<Time>(h.rng() % 32)
+                           : kTimeNever;
+    if (h.q.run_next_until(until, &h.now)) {
+      if (h.fired >= 20'000) h.churn = false;
+      continue;
+    }
+    if (until == kTimeNever) break;
+    ++stopped_short;
+    if (h.next_ref() <= until) ++h.out_of_order;
+    if (h.q.next_time() != h.next_ref()) ++h.peek_mismatches;
+    if (h.churn) h.schedule(h.now);  // must still run before everything else
   }
+  EXPECT_GT(stopped_short, 0u);
   EXPECT_EQ(h.out_of_order, 0u);
   EXPECT_EQ(h.size_mismatches, 0u);
+  EXPECT_EQ(h.peek_mismatches, 0u);
   EXPECT_TRUE(h.ref.empty());
   EXPECT_TRUE(h.q.empty());
   EXPECT_GT(h.recycled_by_compaction, 0u);
   EXPECT_LE(h.q.slab_capacity(), 2 * h.q.max_live() + 64);
+}
+
+TEST(EventQueue, RunningCallbackSelfCancelIsNoop) {
+  // Callbacks run in place in their slab slot. Cancelling the running event
+  // must neither destroy it mid-call nor touch other events; scheduling at
+  // now from inside it runs next, before later events; and growing the slab
+  // by several chunks from inside it must not move it.
+  EventQueue q;
+  Time now = 0;
+  std::vector<int> order;
+  auto token = std::make_shared<int>(5);
+  std::weak_ptr<int> watch = token;
+  EventId self;
+  self = q.schedule(10, [&, token = std::move(token)] {
+    order.push_back(1);
+    q.cancel(self);
+    EXPECT_FALSE(watch.expired());
+    EXPECT_EQ(q.size(), 1u);  // the event at 20 is untouched
+    q.schedule(now, [&] { order.push_back(2); });
+    for (int i = 0; i < 1000; ++i) q.schedule(now + 30, [] {});
+    EXPECT_EQ(*token, 5);
+  });
+  q.schedule(20, [&] { order.push_back(3); });
+  EXPECT_TRUE(q.run_next_until(kTimeNever, &now));
+  EXPECT_TRUE(watch.expired());  // destroyed once it returned
+  while (q.run_next_until(kTimeNever, &now)) {
+  }
+  EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
+  EXPECT_EQ(now, 40);
 }
 
 TEST(EventQueue, CancelledEntriesDoNotBlockSkim) {
