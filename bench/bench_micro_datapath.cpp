@@ -1,9 +1,10 @@
 // Micro-benchmarks (google-benchmark) for the per-packet datapath
 // operations Clove adds to the hypervisor vswitch (§4 "Minimal packet
 // processing overhead"): ECMP hashing, flowlet-table touches, WRR picks,
-// DRE updates, full policy pick_port() calls, and the simulator event/packet
+// DRE updates, full policy pick_port() calls, the simulator event/packet
 // hot loop (events/sec and heap allocations per event — the perf baseline
-// EXPERIMENTS.md tracks).
+// EXPERIMENTS.md tracks), and guest TCP ACK processing through a SACK
+// recovery.
 //
 // With CLOVE_JSON_OUT=<dir> set, the custom main() below writes every
 // benchmark's ns/op and user counters to <dir>/BENCH_micro.json so runs can
@@ -13,6 +14,7 @@
 
 #include <array>
 #include <atomic>
+#include <chrono>
 #include <cstdlib>
 #include <new>
 #include <utility>
@@ -28,6 +30,7 @@
 #include "sim/simulator.hpp"
 #include "telemetry/dre.hpp"
 #include "telemetry/scope.hpp"
+#include "transport/tcp.hpp"
 
 // --- allocation counting ---------------------------------------------------
 // Program-wide operator new/delete override counting every heap allocation,
@@ -407,6 +410,135 @@ void BM_PacketHeap_RoundTrip(benchmark::State& state) {
   report_events(state, alloc_count() - a0);
 }
 BENCHMARK(BM_PacketHeap_RoundTrip);
+
+// --- guest TCP ACK processing ----------------------------------------------
+// A sender and receiver joined by a 10 us pipe that drops each episode's
+// first transmission of every other segment among its segments 40 to 239:
+// every episode is a SACK recovery whose scoreboard grows to 100 holes.
+// One iteration runs the pipe until the sender has processed one more ACK,
+// so ns_per_ack prices the whole ACK clock (delivery events, the receiver's
+// reassembly and SACK generation, the sender's scoreboard and pump). Once
+// the pools and the scoreboard are warm the transport allocates nothing;
+// allocs_per_ack reads ~4e-5, the event queue now and then regrowing a
+// bucket array it gave back.
+
+class SackRecoveryLoop {
+ public:
+  static constexpr std::uint32_t kMss = 1460;
+  static constexpr std::uint64_t kSegments = 400;
+  static constexpr std::uint64_t kWindow = 256;  ///< segments sent at once
+  static constexpr std::uint64_t kFirstHole = 40;
+  static constexpr std::uint64_t kHoles = 100;
+  static constexpr sim::Time kDelay = 10 * sim::kMicrosecond;
+
+  SackRecoveryLoop()
+      : tx_port_(*this, true),
+        rx_port_(*this, false),
+        tx_(tx_port_, tuple_for(0)),
+        rx_(rx_port_, tuple_for(0).reversed()) {}
+
+  /// Run the pipe until the sender has processed one more ACK.
+  void next_ack() {
+    const std::uint64_t before = acks_;
+    for (;;) {
+      sim_.clear_stop();
+      sim_.run();
+      if (acks_ != before) return;
+      start_episode();  // the pipe drained: the last episode is over
+    }
+  }
+
+  [[nodiscard]] std::uint64_t acks() const { return acks_; }
+  [[nodiscard]] std::uint64_t episodes() const { return episodes_; }
+  [[nodiscard]] const transport::TcpSenderStats& stats() const {
+    return tx_.stats();
+  }
+
+ private:
+  class Port : public transport::VmPort {
+   public:
+    Port(SackRecoveryLoop& loop, bool data) : loop_(loop), data_(data) {}
+    void vm_send(net::PacketPtr pkt) override {
+      loop_.carry(data_, std::move(pkt));
+    }
+    sim::Simulator& simulator() override { return loop_.sim_; }
+
+   private:
+    SackRecoveryLoop& loop_;
+    bool data_;
+  };
+
+  /// Every episode restarts at the same window: hybrid_suspend() and
+  /// hybrid_resume() are the sender's way to resume at a given rate.
+  void start_episode() {
+    ++episodes_;
+    episode_start_ = tx_.stream_end();
+    tx_.hybrid_suspend();
+    tx_.write(kSegments * kMss);
+    const double rtt_s =
+        static_cast<double>(tx_.srtt() > 0 ? tx_.srtt() : sim::kMillisecond) /
+        static_cast<double>(sim::kSecond);
+    tx_.hybrid_resume(static_cast<double>(kWindow * kMss) / rtt_s, sim_.now());
+  }
+
+  void carry(bool data, net::PacketPtr pkt) {
+    if (data) {
+      const std::uint64_t seq = pkt->tcp.seq;
+      if (seq >= sent_end_) {  // a first transmission
+        sent_end_ = seq + pkt->payload;
+        const std::uint64_t seg = (seq - episode_start_) / kMss;
+        if (seg >= kFirstHole && seg < kFirstHole + 2 * kHoles &&
+            (seg - kFirstHole) % 2 == 0) {
+          return;
+        }
+      }
+    }
+    transport::TcpEndpoint* dst = data ? static_cast<transport::TcpEndpoint*>(&rx_)
+                                       : &tx_;
+    sim_.schedule_in(kDelay, [this, dst, data, pkt = std::move(pkt)]() mutable {
+      dst->on_packet(std::move(pkt));
+      if (!data) {
+        ++acks_;
+        sim_.stop();
+      }
+    });
+  }
+
+  sim::Simulator sim_;
+  Port tx_port_;
+  Port rx_port_;
+  transport::TcpSender tx_;
+  transport::TcpReceiver rx_;
+  std::uint64_t episode_start_{0};
+  std::uint64_t sent_end_{0};
+  std::uint64_t acks_{0};
+  std::uint64_t episodes_{0};
+};
+
+void BM_TcpSender_SackRecovery(benchmark::State& state) {
+  SackRecoveryLoop loop;
+  // Warm up: the pools, the scoreboard and the event queue reach their
+  // steady sizes.
+  while (loop.episodes() < 20) loop.next_ack();
+  const std::uint64_t a0 = alloc_count();
+  const std::uint64_t e0 = loop.episodes();
+  const std::uint64_t fr0 = loop.stats().fast_retransmits;
+  const auto t0 = std::chrono::steady_clock::now();
+  for (auto _ : state) loop.next_ack();
+  const std::chrono::duration<double, std::nano> ns =
+      std::chrono::steady_clock::now() - t0;
+  const auto acks = static_cast<double>(state.iterations());
+  state.counters["ns_per_ack"] = ns.count() / acks;
+  state.counters["allocs_per_ack"] =
+      static_cast<double>(alloc_count() - a0) / acks;
+  benchmark::DoNotOptimize(loop.acks());
+  if (loop.stats().timeouts > 0) state.SkipWithError("recovery hit an RTO");
+  // The episode running when timing stopped may not have recovered yet.
+  if (loop.stats().fast_retransmits - fr0 + 1 < loop.episodes() - e0) {
+    state.SkipWithError("an episode ended without a SACK recovery");
+  }
+}
+BENCHMARK(BM_TcpSender_SackRecovery);
 
 // --- artifact emission -----------------------------------------------------
 

@@ -6,13 +6,13 @@ Usage: bench_check.py BASELINE.json CURRENT.json
 Two families of checks over the flat `values` array each bench artifact
 carries (stdlib only — this runs in CI before anything is installed):
 
-* Allocation counters (``*.allocs_per_event`` / ``*.allocs_per_pkt``): the
-  current value must not exceed baseline + ALLOC_SLACK. Steady-state pooled
-  paths are pinned at (effectively) zero while the deliberately heap-backed
-  comparison rows (``BM_*_Heap``, baseline == 1) stay allowed at 1. The
-  small absolute slack tolerates rare amortized table maintenance (FlatMap
-  tombstone rebuilds, ring growth) that is not a leak of per-packet
-  allocations.
+* Allocation counters (``*.allocs_per_event`` / ``*.allocs_per_pkt`` /
+  ``*.allocs_per_ack``): the current value must not exceed baseline +
+  ALLOC_SLACK. Steady-state pooled paths are pinned at (effectively) zero
+  while the deliberately heap-backed comparison rows (``BM_*_Heap``,
+  baseline == 1) stay allowed at 1. The small absolute slack tolerates rare
+  amortized table maintenance (FlatMap tombstone rebuilds, ring growth)
+  that is not a leak of per-packet allocations.
 
 * Throughput (``*_per_sec`` — pkts_per_sec, events_per_sec, …) and latency
   (``*.ns_per_*``): fail on a regression beyond TOLERANCE (default 25%,
@@ -81,7 +81,8 @@ def load_values(path):
 
 
 def is_alloc(name):
-    return name.endswith(".allocs_per_event") or name.endswith(".allocs_per_pkt")
+    return name.endswith((".allocs_per_event", ".allocs_per_pkt",
+                          ".allocs_per_ack"))
 
 
 def is_throughput(name):

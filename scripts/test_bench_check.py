@@ -20,6 +20,7 @@ class TestFamilyPredicates(unittest.TestCase):
     def test_alloc(self):
         self.assertTrue(bc.is_alloc("fat_tree_ecmp.allocs_per_pkt"))
         self.assertTrue(bc.is_alloc("BM_EventQueue.allocs_per_event"))
+        self.assertTrue(bc.is_alloc("BM_TcpSender_SackRecovery.allocs_per_ack"))
         self.assertFalse(bc.is_alloc("fat_tree_ecmp.pkts_per_sec"))
 
     def test_throughput(self):

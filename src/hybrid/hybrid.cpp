@@ -46,13 +46,18 @@ Engine::~Engine() {
   // Detach from everything that could call back after we are gone. Promoted
   // senders stay suspended — the engine only dies with its simulation.
   for (auto& [sender, st] : adopted_) sender->hybrid_set_hook(nullptr);
-  for (auto& [id, link] : links_) {
+  for (net::Link* link : links_) {
+    if (link == nullptr) continue;
     link->set_fluid_observer(nullptr);
     link->set_fluid(0.0, 0);
   }
 }
 
 void Engine::add_link(net::Link* link) {
+  if (link->id() >= links_.size()) {
+    links_.resize(link->id() + 1, nullptr);
+    link_state_.resize(link->id() + 1);
+  }
   links_[link->id()] = link;
   link->set_fluid_observer(this);
 }
@@ -162,12 +167,12 @@ void Engine::on_trace(HostAdapter& dst_host, const net::FiveTuple& inner,
   std::vector<net::Link*> links;
   links.reserve(trace.count);
   for (int i = 0; i < trace.count; ++i) {
-    auto lit = links_.find(trace.links[static_cast<std::size_t>(i)]);
-    if (lit == links_.end()) {
+    const net::LinkId id = trace.links[static_cast<std::size_t>(i)];
+    if (id >= links_.size() || links_[id] == nullptr) {
       ++stats_.trace_rejects;  // crossed an unregistered link
       return;
     }
-    links.push_back(lit->second);
+    links.push_back(links_[id]);
   }
   auto* receiver = dst_host.hybrid_find_endpoint(inner.reversed());
   if (receiver == nullptr) {
@@ -271,17 +276,22 @@ void Engine::advance_all(sim::Time now) {
 void Engine::solve() {
   CLOVE_PROF_SCOPE(prof::kHybrid);
   ++stats_.solves;
-  struct LState {
-    double capacity{0.0};
-    double residual{0.0};
-    int active{0};
-    double alloc{0.0};
-  };
-  std::unordered_map<net::Link*, LState> ls;
+  // Dense per-link state by Link::id(); solve_links_ lists the links some
+  // flow crosses, in first-touch order.
+  solve_links_.clear();
   for (auto& f : flows_) {
-    for (auto* l : f->links) ++ls[l].active;
+    for (auto* l : f->links) {
+      LinkState& st = link_state_[l->id()];
+      if (!st.used) {
+        st = LinkState{};
+        st.used = true;
+        solve_links_.push_back(l);
+      }
+      ++st.active;
+    }
   }
-  for (auto& [l, st] : ls) {
+  for (auto* l : solve_links_) {
+    LinkState& st = link_state_[l->id()];
     const double nominal =
         l->config().rate_bytes_per_sec * l->capacity_factor();
     // Residual capacity: what the packet-level traffic (measured by the
@@ -307,7 +317,7 @@ void Engine::solve() {
     double m = std::numeric_limits<double>::infinity();
     for (std::size_t i = 0; i < unfixed.size(); ++i) {
       for (auto* l : unfixed[i]->links) {
-        const LState& st = ls[l];
+        const LinkState& st = link_state_[l->id()];
         share[i] = std::min(share[i], st.residual / st.active);
       }
       m = std::min(m, share[i]);
@@ -318,7 +328,7 @@ void Engine::solve() {
         Flow* f = unfixed[i];
         f->rate = share[i];
         for (auto* l : f->links) {
-          LState& st = ls[l];
+          LinkState& st = link_state_[l->id()];
           st.residual = std::max(st.residual - share[i], 0.0);
           --st.active;
           st.alloc += share[i];
@@ -333,17 +343,17 @@ void Engine::solve() {
   // and shows in utilization/INT/CONGA; a saturated link also carries a
   // virtual standing queue at the marking threshold, so real ECT packets
   // crossing it keep getting CE-marked and Clove's feedback stays live.
-  for (auto& [l, st] : ls) {
+  for (auto* l : solve_links_) {
+    const LinkState& st = link_state_[l->id()];
     const bool saturated = st.alloc >= st.capacity * 0.999;
     l->set_fluid(st.alloc,
                  saturated ? l->config().ecn_threshold_bytes : 0);
   }
   for (auto* l : fluid_links_) {
-    if (ls.find(l) == ls.end()) l->set_fluid(0.0, 0);
+    if (!link_state_[l->id()].used) l->set_fluid(0.0, 0);
   }
-  fluid_links_.clear();
-  fluid_links_.reserve(ls.size());
-  for (auto& [l, st] : ls) fluid_links_.push_back(l);
+  for (auto* l : solve_links_) link_state_[l->id()].used = false;
+  fluid_links_.swap(solve_links_);
 }
 
 void Engine::reschedule() {

@@ -171,7 +171,18 @@ class Engine : public net::FluidObserver, public transport::SenderHook {
   sim::Simulator& sim_;
   HybridConfig cfg_;
   sim::Timer timer_;
-  std::unordered_map<net::LinkId, net::Link*> links_;
+  /// Per-link solver state; accumulated in flow order, like the rates.
+  struct LinkState {
+    double capacity{0.0};
+    double residual{0.0};
+    int active{0};
+    double alloc{0.0};
+    bool used{false};  ///< some flow crosses the link in the current solve
+  };
+
+  std::vector<net::Link*> links_;        ///< by Link::id(); null if unknown
+  std::vector<LinkState> link_state_;    ///< by Link::id()
+  std::vector<net::Link*> solve_links_;  ///< scratch: links some flow crosses
   std::unordered_map<transport::TcpSender*, Adopted> adopted_;
   std::unordered_map<net::FiveTuple, transport::TcpSender*,
                      net::FiveTupleHash>

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <array>
+#include <iterator>
 
 #include "net/packet_pool.hpp"
 #include "prof/prof.hpp"
@@ -25,7 +26,8 @@ TcpSender::TcpSender(VmPort& port, net::FiveTuple tuple, TcpConfig cfg)
       rto_timer_(port.simulator(), [this] { on_rto(); }),
       tlp_timer_(port.simulator(), [this] { on_tlp(); }),
       cwnd_(static_cast<std::uint64_t>(cfg.initial_cwnd_pkts) * cfg.mss),
-      ssthresh_(cfg.max_cwnd_bytes) {
+      ssthresh_(cfg.max_cwnd_bytes),
+      sack_(cfg.mss) {
   if (cfg_.dctcp) cfg_.ecn = true;
   auto& m = telemetry::current_scope().metrics();
   cells_ = Cells{m.counter("tcp.timeouts"), m.counter("tcp.fast_retransmits"),
@@ -171,7 +173,8 @@ void TcpSender::send_segment(std::uint64_t seq, std::uint32_t len,
       cwr_pending_ = false;
     }
   }
-  samples_.push_back(SendSample{seq + len, port_.simulator().now(), retransmit});
+  samples_.push_back(
+      SendSample{seq + len, retransmit ? -1 : port_.simulator().now()});
   ++stats_.packets_sent;
   stats_.bytes_sent += len;
   port_.vm_send(std::move(pkt));
@@ -213,73 +216,126 @@ void TcpSender::on_path_evicted(net::IpAddr dst_ip, std::uint16_t port,
 // SACK scoreboard (RFC 6675-lite)
 // ---------------------------------------------------------------------------
 
+namespace {
+bool ends_before(const net::SackBlock& b, std::uint64_t seq) {
+  return b.end < seq;
+}
+bool starts_after(std::uint64_t seq, const net::SackBlock& b) {
+  return seq < b.start;
+}
+bool retx_before(const SackScoreboard::Retx& r, std::uint64_t seq) {
+  return r.seq < seq;
+}
+}  // namespace
+
+void SackScoreboard::add(std::uint64_t start, std::uint64_t end) {
+  // The blocks that overlap or touch [start, end): from the first one ending
+  // at or after `start` to the last one starting at or before `end`. Blocks
+  // never touch, so a merged block cannot reach past that last one.
+  auto first =
+      std::lower_bound(blocks_.begin(), blocks_.end(), start, ends_before);
+  auto last = std::upper_bound(first, blocks_.end(), end, starts_after);
+  if (first == last) {
+    blocks_.insert(first, net::SackBlock{start, end});
+    sacked_ += end - start;
+  } else {
+    for (auto it = first; it != last; ++it) sacked_ -= it->end - it->start;
+    start = std::min(start, first->start);
+    end = std::max(end, std::prev(last)->end);
+    *first = net::SackBlock{start, end};
+    sacked_ += end - start;
+    blocks_.erase(first + 1, last);
+  }
+  // A retransmitted hole that is now sacked is no longer in flight. Only
+  // the new range can cover records: the blocks it absorbed held none.
+  auto r0 = std::lower_bound(retx_.begin(), retx_.end(), start, retx_before);
+  auto r1 = std::lower_bound(r0, retx_.end(), end, retx_before);
+  retx_.erase(r0, r1);
+}
+
+void SackScoreboard::advance(std::uint64_t una) {
+  auto keep = blocks_.begin();
+  for (; keep != blocks_.end() && keep->end <= una; ++keep) {
+    sacked_ -= keep->end - keep->start;
+  }
+  blocks_.erase(blocks_.begin(), keep);
+  if (!blocks_.empty() && blocks_.front().start < una) {
+    sacked_ -= una - blocks_.front().start;
+    blocks_.front().start = una;
+  }
+  retx_.erase(retx_.begin(),
+              std::lower_bound(retx_.begin(), retx_.end(), una, retx_before));
+}
+
+void SackScoreboard::record_retx(std::uint64_t seq, sim::Time now) {
+  auto it = std::lower_bound(retx_.begin(), retx_.end(), seq, retx_before);
+  if (it != retx_.end() && it->seq == seq) {
+    it->sent = now;
+  } else {
+    retx_.insert(it, Retx{seq, now});
+  }
+}
+
+SackScoreboard::Pipe SackScoreboard::pipe(std::uint64_t una, sim::Time now,
+                                          sim::Time lost_after) const {
+  if (blocks_.empty()) return {0, 0};
+  // Every hole byte below the highest sack is either presumed lost or
+  // covered by a recent retransmission; only the records say which.
+  const std::uint64_t holes = blocks_.back().end - una - sacked_;
+  std::uint64_t retx_inflight = 0;
+  auto b = blocks_.begin();
+  std::uint64_t pos = una;  // start of the hole that ends at b->start
+  for (const Retx& r : retx_) {
+    for (; b != blocks_.end() && b->start <= r.seq; ++b) pos = b->end;
+    if (b == blocks_.end()) break;
+    if ((r.seq - pos) % mss_ == 0 && now - r.sent < lost_after) {
+      retx_inflight += std::min<std::uint64_t>(mss_, b->start - r.seq);
+    }
+  }
+  return {holes - retx_inflight, retx_inflight};
+}
+
+std::pair<std::uint64_t, std::uint32_t> SackScoreboard::next_hole(
+    std::uint64_t una, std::uint64_t from, sim::Time now,
+    sim::Time lost_after) const {
+  // A hole ending at or below `from` has no chunk at or above it.
+  auto b = std::upper_bound(blocks_.begin(), blocks_.end(), from, starts_after);
+  auto r = retx_.begin();
+  for (; b != blocks_.end(); ++b) {
+    std::uint64_t h = b == blocks_.begin() ? una : std::prev(b)->end;
+    if (h < from) h += (from - h + mss_ - 1) / mss_ * mss_;
+    // Rounding up may overshoot this hole, and the next hole starts below
+    // that point; only a hole with chunks left may move the record cursor.
+    if (h >= b->start) continue;
+    r = std::lower_bound(r, retx_.end(), h, retx_before);
+    for (; h < b->start; h += mss_) {
+      while (r != retx_.end() && r->seq < h) ++r;
+      const bool recently_retx =
+          r != retx_.end() && r->seq == h && now - r->sent < lost_after;
+      if (!recently_retx) {
+        return {h, static_cast<std::uint32_t>(
+                       std::min<std::uint64_t>(mss_, b->start - h))};
+      }
+    }
+  }
+  return {0, 0};
+}
+
 void TcpSender::merge_sack_blocks(const net::Packet& pkt) {
   const net::Packet::Cold* opt =
       net::PacketPool::of(port_.simulator()).find_cold(pkt);
-  const int n_blocks = opt != nullptr ? opt->sack_count : 0;
-  for (int i = 0; i < n_blocks; ++i) {
-    std::uint64_t s = std::max(opt->sacks[static_cast<std::size_t>(i)].start,
-                               snd_una_);
-    std::uint64_t e = std::min(opt->sacks[static_cast<std::size_t>(i)].end,
-                               snd_nxt_);
-    if (e <= s) continue;
-    // Interval-merge [s, e) into the disjoint map.
-    auto it = sacked_.lower_bound(s);
-    if (it != sacked_.begin() && std::prev(it)->second >= s) --it;
-    while (it != sacked_.end() && it->first <= e) {
-      s = std::min(s, it->first);
-      e = std::max(e, it->second);
-      it = sacked_.erase(it);
-    }
-    sacked_[s] = e;
-  }
-  // A retransmitted hole that is now sacked is no longer in flight.
-  for (auto it = hole_retx_.begin(); it != hole_retx_.end();) {
-    auto rit = sacked_.upper_bound(it->first);
-    const bool covered =
-        rit != sacked_.begin() && std::prev(rit)->second > it->first;
-    it = covered ? hole_retx_.erase(it) : ++it;
+  if (opt == nullptr) return;
+  for (int i = 0; i < opt->sack_count; ++i) {
+    const net::SackBlock& b = opt->sacks[static_cast<std::size_t>(i)];
+    const std::uint64_t s = std::max(b.start, snd_una_);
+    const std::uint64_t e = std::min(b.end, snd_nxt_);
+    if (s < e) sack_.add(s, e);
   }
 }
 
 sim::Time TcpSender::retx_lost_after() const {
   const sim::Time rtt = srtt_ > 0 ? srtt_ : cfg_.initial_rtt;
   return rtt + rtt / 2;
-}
-
-std::uint64_t TcpSender::sacked_bytes() const {
-  std::uint64_t total = 0;
-  for (const auto& [s, e] : sacked_) {
-    if (e <= snd_una_) continue;
-    total += e - std::max(s, snd_una_);
-  }
-  return total;
-}
-
-std::pair<std::uint64_t, std::uint32_t> TcpSender::next_hole(
-    std::uint64_t from) const {
-  if (sacked_.empty()) return {0, 0};
-  const sim::Time now = port_.simulator().now();
-  const sim::Time lost_after = retx_lost_after();
-  std::uint64_t pos = snd_una_;
-  for (const auto& [s, e] : sacked_) {
-    if (e <= pos) continue;
-    std::uint64_t h = pos;
-    if (h < from) h += (from - h + cfg_.mss - 1) / cfg_.mss * cfg_.mss;
-    while (h < s) {
-      auto rit = hole_retx_.find(h);
-      const bool recently_retx =
-          rit != hole_retx_.end() && now - rit->second < lost_after;
-      if (!recently_retx) {
-        const std::uint32_t len = static_cast<std::uint32_t>(
-            std::min<std::uint64_t>({cfg_.mss, s - h, stream_end_ - h}));
-        if (len > 0) return {h, len};
-      }
-      h += cfg_.mss;
-    }
-    pos = std::max(pos, e);
-  }
-  return {0, 0};
 }
 
 void TcpSender::enter_recovery_sack() {
@@ -291,7 +347,7 @@ void TcpSender::enter_recovery_sack() {
   const std::uint64_t inflight = snd_nxt_ - snd_una_;
   ssthresh_ = std::max<std::uint64_t>(inflight / 2, 2ull * cfg_.mss);
   cwnd_ = ssthresh_;
-  hole_retx_.clear();
+  sack_.clear_retx();
 }
 
 void TcpSender::sack_pump() {
@@ -299,32 +355,13 @@ void TcpSender::sack_pump() {
   // sacked bytes, minus holes below the highest sack (presumed LOST — this
   // is what lets recovery proceed), plus recent hole retransmissions.
   //
-  // The scoreboard terms are walked once per pump, then kept exact as
+  // The scoreboard terms are computed once per pump, then kept exact as
   // segments go out: new data only moves snd_nxt_, and a hole retransmission
-  // turns exactly its chunk from lost into retransmitted-in-flight (the
-  // hole next_hole() returns is the walk's chunk, since every sack block
-  // ends at or below stream_end_).
+  // turns exactly its chunk from lost into retransmitted-in-flight.
   const sim::Time now = port_.simulator().now();
   const sim::Time lost_after = retx_lost_after();
-  const std::uint64_t sb = sacked_bytes();
-  std::uint64_t lost = 0;
-  std::uint64_t retx_inflight = 0;
-  if (!sacked_.empty()) {
-    std::uint64_t pos = snd_una_;
-    for (const auto& [s, e] : sacked_) {
-      if (e <= pos) continue;
-      for (std::uint64_t h = pos; h < s; h += cfg_.mss) {
-        const std::uint64_t len = std::min<std::uint64_t>(cfg_.mss, s - h);
-        auto rit = hole_retx_.find(h);
-        if (rit != hole_retx_.end() && now - rit->second < lost_after) {
-          retx_inflight += len;
-        } else {
-          lost += len;
-        }
-      }
-      pos = std::max(pos, e);
-    }
-  }
+  const std::uint64_t sb = sack_.sacked_bytes();
+  auto [lost, retx_inflight] = sack_.pipe(snd_una_, now, lost_after);
   // Every chunk below a retransmitted hole was already recent, so the next
   // hole search resumes just past it.
   std::uint64_t hole_from = snd_una_;
@@ -333,11 +370,14 @@ void TcpSender::sack_pump() {
     std::uint64_t pipe = outstanding > sb + lost ? outstanding - sb - lost : 0;
     pipe += retx_inflight;
     if (pipe >= cwnd_) break;
-    if (in_recovery_) {
-      const auto [hseq, hlen] = next_hole(hole_from);
+    // A hole chunk next_hole() may return is one `lost` counts, so with
+    // nothing lost there is no hole to search for.
+    if (in_recovery_ && lost > 0) {
+      const auto [hseq, hlen] =
+          sack_.next_hole(snd_una_, hole_from, now, lost_after);
       if (hlen > 0) {
         send_segment(hseq, hlen, /*retransmit=*/true);
-        hole_retx_[hseq] = now;
+        sack_.record_retx(hseq, now);
         lost -= hlen;
         retx_inflight += hlen;
         hole_from = hseq + 1;
@@ -415,21 +455,12 @@ void TcpSender::on_ack(const net::Packet& pkt) {
   rto_backoff_ = 0;
   restart_timers();  // cumulative progress restarts the RTO/TLP clocks
 
-  // Prune the scoreboard below the new cumulative ack.
-  while (!sacked_.empty() && sacked_.begin()->second <= snd_una_) {
-    sacked_.erase(sacked_.begin());
-  }
-  if (!sacked_.empty() && sacked_.begin()->first < snd_una_) {
-    const std::uint64_t e = sacked_.begin()->second;
-    sacked_.erase(sacked_.begin());
-    sacked_[snd_una_] = e;
-  }
-  hole_retx_.erase(hole_retx_.begin(), hole_retx_.lower_bound(snd_una_));
+  sack_.advance(snd_una_);  // prune the scoreboard below the new ack
 
   // RTT sample from the most recent fully-acked, never-retransmitted segment.
   sim::Time sample = -1;
   while (!samples_.empty() && samples_.front().seq_end <= ack) {
-    if (!samples_.front().retransmitted) {
+    if (samples_.front().sent >= 0) {
       sample = port_.simulator().now() - samples_.front().sent;
     }
     samples_.pop_front();
@@ -439,7 +470,7 @@ void TcpSender::on_ack(const net::Packet& pkt) {
   if (in_recovery_) {
     if (ack >= recover_point_) {
       in_recovery_ = false;
-      hole_retx_.clear();
+      sack_.clear_retx();
       cwnd_ = std::max<std::uint64_t>(ssthresh_, 2ull * cfg_.mss);
     } else if (!cfg_.sack) {
       // NewReno partial ack: the next hole is lost too; retransmit it and
@@ -470,7 +501,7 @@ void TcpSender::on_ack(const net::Packet& pkt) {
     done(now);
   }
 
-  if (hook_ != nullptr && !in_recovery_ && dupacks_ == 0 && sacked_.empty()) {
+  if (hook_ != nullptr && !in_recovery_ && dupacks_ == 0 && sack_.empty()) {
     hook_->on_clean_ack(*this, acked_bytes);
   }
 
@@ -487,7 +518,7 @@ void TcpSender::handle_dupack() {
   if (cfg_.sack) {
     if (!in_recovery_ &&
         (dupacks_ >= cfg_.dupack_threshold ||
-         sacked_bytes() >= 3ull * cfg_.mss)) {
+         sack_.sacked_bytes() >= 3ull * cfg_.mss)) {
       enter_recovery_sack();
     }
     if (!in_recovery_ && cfg_.limited_transmit) {
@@ -536,8 +567,7 @@ void TcpSender::on_rto() {
   dupacks_ = 0;
   // Go-back-N: rewind and resend from the hole. The scoreboard is dropped
   // (sack reneging is legal), trading some redundant bytes for simplicity.
-  sacked_.clear();
-  hole_retx_.clear();
+  sack_.clear();
   snd_nxt_ = snd_una_;
   samples_.clear();
   try_send();
@@ -561,8 +591,7 @@ void TcpSender::hybrid_suspend() {
   dupacks_ = 0;
   in_recovery_ = false;
   rto_backoff_ = 0;
-  sacked_.clear();
-  hole_retx_.clear();
+  sack_.clear();
   samples_.clear();
   rto_timer_.cancel();
   tlp_timer_.cancel();
@@ -649,22 +678,22 @@ void TcpReceiver::on_packet(net::PacketPtr pkt) {
     out_of_order = true;
   } else if (seq <= rcv_nxt_) {
     rcv_nxt_ = end;
-    // Drain any now-contiguous buffered segments.
-    auto it = ooo_.begin();
-    while (it != ooo_.end() && it->first <= rcv_nxt_) {
-      rcv_nxt_ = std::max(rcv_nxt_, it->second);
-      it = ooo_.erase(it);
-    }
+    drain_ooo();
     if (on_deliver) on_deliver(rcv_nxt_);
   } else {
     out_of_order = true;
     ++reorder_events_;
-    // Store [seq, end); keep the map disjoint by merging overlaps.
-    auto [it, inserted] = ooo_.try_emplace(seq, end);
-    if (!inserted) {
-      it->second = std::max(it->second, end);
+    // Store [seq, end); a segment already buffered at seq keeps the larger
+    // end.
+    auto it = std::lower_bound(
+        ooo_.begin(), ooo_.end(), seq,
+        [](const net::SackBlock& b, std::uint64_t v) { return b.start < v; });
+    if (it != ooo_.end() && it->start == seq) {
+      it->end = std::max(it->end, end);
+    } else {
+      it = ooo_.insert(it, net::SackBlock{seq, end});
     }
-    last_block_ = net::SackBlock{it->first, it->second};
+    last_block_ = *it;
   }
 
   ++unacked_segments_;
@@ -674,13 +703,17 @@ void TcpReceiver::on_packet(net::PacketPtr pkt) {
 void TcpReceiver::hybrid_sync(std::uint64_t pos) {
   if (pos <= rcv_nxt_) return;
   rcv_nxt_ = pos;
-  auto it = ooo_.begin();
-  while (it != ooo_.end() && it->first <= rcv_nxt_) {
-    rcv_nxt_ = std::max(rcv_nxt_, it->second);
-    it = ooo_.erase(it);
-  }
+  drain_ooo();
   last_block_ = net::SackBlock{};
   if (on_deliver) on_deliver(rcv_nxt_);
+}
+
+void TcpReceiver::drain_ooo() {
+  auto it = ooo_.begin();
+  for (; it != ooo_.end() && it->start <= rcv_nxt_; ++it) {
+    rcv_nxt_ = std::max(rcv_nxt_, it->end);
+  }
+  ooo_.erase(ooo_.begin(), it);
 }
 
 void TcpReceiver::send_ack(bool force) {
@@ -715,10 +748,10 @@ void TcpReceiver::do_send_ack() {
         last_block_.start >= rcv_nxt_) {
       blocks[n++] = last_block_;
     }
-    for (const auto& [s, e] : ooo_) {
+    for (const net::SackBlock& b : ooo_) {
       if (n >= 3) break;
-      if (s == last_block_.start) continue;
-      blocks[n++] = net::SackBlock{s, e};
+      if (b.start == last_block_.start) continue;
+      blocks[n++] = b;
     }
     if (n > 0) {
       net::Packet::Cold& opt =

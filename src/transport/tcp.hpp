@@ -3,12 +3,13 @@
 #include <cstdint>
 #include <deque>
 #include <functional>
-#include <map>
-#include <set>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "net/packet.hpp"
 #include "sim/simulator.hpp"
+#include "util/recycling_allocator.hpp"
 
 namespace clove::telemetry {
 class Counter;
@@ -62,6 +63,75 @@ class VmPort {
 };
 
 class TcpSender;
+
+/// The sender's RFC 6675-style SACK scoreboard: the sacked ranges above
+/// snd_una, and the hole chunks retransmitted in the current recovery with
+/// their send times (a retransmission older than the caller's `lost_after`
+/// is presumed lost again, RACK-style, so it re-enters the pipe and may be
+/// resent).
+///
+/// Invariants, which keep every per-ACK operation proportional to what the
+/// ACK changed rather than to the size of the scoreboard:
+///   - blocks are sorted, disjoint and non-touching, and lie in
+///     [snd_una, snd_nxt] (add() takes ranges the caller already clamped);
+///   - sacked_bytes() is their total length, kept as blocks change;
+///   - no retransmission record lies below snd_una or inside a block, and
+///     every record lies below the highest sacked byte;
+///   - a hole [pos, s) is walked in MSS chunks starting at pos, and a record
+///     counts for the pipe only when it sits on that grid, (r - pos) % mss ==
+///     0 — a record left off the grid by a moved hole start names no chunk.
+/// Blocks and records live in flat sorted vectors, so once they reach their
+/// high-water mark an ACK allocates nothing.
+class SackScoreboard {
+ public:
+  struct Retx {
+    std::uint64_t seq;
+    sim::Time sent;
+  };
+  /// The scoreboard's pipe terms: hole bytes presumed lost, and hole bytes
+  /// covered by a retransmission still in flight.
+  struct Pipe {
+    std::uint64_t lost;
+    std::uint64_t retx_inflight;
+  };
+
+  explicit SackScoreboard(std::uint32_t mss) : mss_(mss) {}
+
+  /// Merge the sacked range [start, end), snd_una <= start < end <= snd_nxt,
+  /// and drop the retransmission records it covers.
+  void add(std::uint64_t start, std::uint64_t end);
+  /// The cumulative ACK advanced to `una`: drop what lies below it.
+  void advance(std::uint64_t una);
+  /// Record (or refresh) a retransmission of the hole chunk at `seq`.
+  void record_retx(std::uint64_t seq, sim::Time now);
+  void clear_retx() { retx_.clear(); }
+  void clear() {
+    blocks_.clear();
+    retx_.clear();
+    sacked_ = 0;
+  }
+
+  [[nodiscard]] bool empty() const { return blocks_.empty(); }
+  [[nodiscard]] std::uint64_t sacked_bytes() const { return sacked_; }
+  [[nodiscard]] Pipe pipe(std::uint64_t una, sim::Time now,
+                          sim::Time lost_after) const;
+  /// First hole chunk at or above `from` that has no recent retransmission;
+  /// 0-length when none.
+  [[nodiscard]] std::pair<std::uint64_t, std::uint32_t> next_hole(
+      std::uint64_t una, std::uint64_t from, sim::Time now,
+      sim::Time lost_after) const;
+
+  [[nodiscard]] const std::vector<net::SackBlock>& blocks() const {
+    return blocks_;
+  }
+  [[nodiscard]] const std::vector<Retx>& retx() const { return retx_; }
+
+ private:
+  std::uint32_t mss_;
+  std::vector<net::SackBlock> blocks_;
+  std::vector<Retx> retx_;  ///< sorted by seq
+  std::uint64_t sacked_{0};
+};
 
 /// Observer installed on a TcpSender by the hybrid flow/packet engine
 /// (clove::hybrid). The sender reports ack-clock events the engine's
@@ -191,14 +261,7 @@ class TcpSender : public TcpEndpoint {
   void send_segment(std::uint64_t seq, std::uint32_t len, bool retransmit);
   void on_ack(const net::Packet& pkt);
   void handle_dupack();
-  // --- SACK scoreboard ---
   void merge_sack_blocks(const net::Packet& pkt);
-  [[nodiscard]] std::uint64_t sacked_bytes() const;
-  /// First unsacked hole at/above snd_una_ below the highest sacked byte
-  /// that has not been retransmitted recently; 0-length when none. Holes
-  /// starting below `from` are skipped (the caller knows them to be recent).
-  [[nodiscard]] std::pair<std::uint64_t, std::uint32_t> next_hole(
-      std::uint64_t from) const;
   void sack_pump();
   void enter_recovery_sack();
   void on_rto();
@@ -229,12 +292,8 @@ class TcpSender : public TcpEndpoint {
   std::uint64_t recover_point_{0};
   int rto_backoff_{0};
 
-  // SACK scoreboard: disjoint sacked ranges [start, end) above snd_una_,
-  // plus hole starts retransmitted in the current recovery with their send
-  // times — a retransmission older than ~1.5 RTT is presumed lost again
-  // (RACK-style), so it re-enters the pipe and may be resent.
-  std::map<std::uint64_t, std::uint64_t> sacked_;
-  std::map<std::uint64_t, sim::Time> hole_retx_;
+  // SACK scoreboard; a retransmission older than ~1.5 RTT is presumed lost.
+  SackScoreboard sack_;
   [[nodiscard]] sim::Time retx_lost_after() const;
 
   // ECN / DCTCP.
@@ -248,10 +307,9 @@ class TcpSender : public TcpEndpoint {
   // RTT estimation (Karn + Jacobson).
   struct SendSample {
     std::uint64_t seq_end;
-    sim::Time sent;
-    bool retransmitted;
+    sim::Time sent;  ///< -1 for a retransmission (Karn: no RTT sample)
   };
-  std::deque<SendSample> samples_;
+  std::deque<SendSample, util::RecyclingAllocator<SendSample>> samples_;
   sim::Time srtt_{0};
   sim::Time rttvar_{0};
   /// Last time the flow made forward progress (cumulative ACK advanced, or a
@@ -303,6 +361,8 @@ class TcpReceiver : public TcpEndpoint {
   void hybrid_sync(std::uint64_t pos) override;
 
  private:
+  /// Advance rcv_nxt_ over the buffered segments it now reaches.
+  void drain_ooo();
   void send_ack(bool force);
   void do_send_ack();
 
@@ -312,7 +372,9 @@ class TcpReceiver : public TcpEndpoint {
   sim::Timer delack_timer_;
 
   std::uint64_t rcv_nxt_{0};
-  std::map<std::uint64_t, std::uint64_t> ooo_;  ///< seq -> end (disjoint)
+  /// Out-of-order segments [start, end), sorted by start with one entry per
+  /// start (a repeat keeps the larger end; overlaps are not merged).
+  std::vector<net::SackBlock> ooo_;
   net::SackBlock last_block_{};  ///< most recently stored OOO block
   int unacked_segments_{0};
   std::uint64_t reorder_events_{0};
