@@ -1,7 +1,6 @@
 #pragma once
 
-// Shared plumbing for the bench binaries: the JSON artifact and the header
-// every bench prints.
+// Shared plumbing for the bench binaries: the JSON artifact.
 //
 // Scale knobs (environment, read by harness::BenchScale::from_env()):
 //   CLOVE_JOBS     jobs per connection   (default 40; paper §5 used 50000)
@@ -161,15 +160,5 @@ class Artifact {
   /// The bench's session profiler, or null when CLOVE_PROF=off.
   [[nodiscard]] prof::Profiler* profiler() { return prof_session_.profiler(); }
 };
-
-inline void print_header(const std::string& title, const std::string& paper_ref,
-                         const harness::BenchScale& scale) {
-  std::printf("== %s ==\n", title.c_str());
-  std::printf("reproduces: %s\n", paper_ref.c_str());
-  std::printf(
-      "scale: %d jobs/conn x %d conns/client x %d seed(s)   "
-      "(CLOVE_JOBS / CLOVE_CONNS / CLOVE_SEEDS to change)\n\n",
-      scale.jobs_per_conn, scale.conns_per_client, scale.seeds);
-}
 
 }  // namespace clove::bench

@@ -1,11 +1,13 @@
-// Regenerates the paper's evaluation figures and the ablations (see
-// figures.cpp for what each one sweeps and claims).
+// Regenerates the paper's evaluation figures, the ablations and the
+// fault-recovery baseline (see figures.cpp for what each one sweeps and
+// claims).
 //
 // Usage: bench_figures [name...]
 // With no names every figure runs, in table order; otherwise only the named
-// ones (fig4b_symmetric ... ablation_workloads). Scale comes from
-// CLOVE_JOBS / CLOVE_SEEDS / CLOVE_CONNS / CLOVE_THREADS (bench_common.hpp),
-// and each figure writes <CLOVE_JSON_OUT>/<name>.json when that is set.
+// ones (fig4b_symmetric ... ablation_workloads, BENCH_fault). Scale comes
+// from CLOVE_JOBS / CLOVE_SEEDS / CLOVE_CONNS / CLOVE_THREADS
+// (bench_common.hpp) unless a figure pins its own (BENCH_fault does), and
+// each figure writes <CLOVE_JSON_OUT>/<name>.json when that is set.
 
 #include <cstdio>
 #include <exception>

@@ -1,8 +1,10 @@
 #include "figures.hpp"
 
+#include <cctype>
 #include <cstdio>
 #include <functional>
 #include <memory>
+#include <set>
 #include <stdexcept>
 #include <utility>
 
@@ -21,6 +23,40 @@ using Kind = Headline::Kind;
 constexpr sim::Time kRtt = 50 * sim::kMicrosecond;
 /// Incast requests per Fig. 7 point.
 constexpr int kIncastRequests = 60;
+
+// FaultRecovery's arithmetic (see figures.hpp).
+constexpr sim::Time kRecoveryBucket = 50 * sim::kMillisecond;
+/// Pre-fault measurement starts after slow-start / discovery warm-up.
+constexpr sim::Time kPreFaultStart = 150 * sim::kMillisecond;
+/// Fewer mice than this in a bucket means flows are stalled, which is itself
+/// a failure to recover.
+constexpr int kMinBucketMice = 5;
+constexpr double kRecoveredBound = 1.2;
+
+/// The testbed with one S2-L2 link failing mid-run through a fault plan.
+/// Routing takes 250 ms to converge (vs the fault plan's 30 ms default):
+/// the regime where edge-based recovery earns its keep. Until the fabric
+/// reroutes, half of S2's downlink hashes keep pointing into the dead link;
+/// the path-health monitor evicts those outer ports within a few keepalive
+/// timeouts while ECMP keeps feeding them for the whole window.
+harness::ExperimentConfig make_fault_profile() {
+  harness::ExperimentConfig cfg = harness::make_testbed_profile();
+  cfg.discovery.probe_interval = 250 * sim::kMillisecond;
+  cfg.clove_congestion_expiry = 20 * sim::kMillisecond;
+  cfg.path_health.enabled = true;
+  cfg.fault_plan.route_convergence = 250 * sim::kMillisecond;
+  cfg.fault_plan.add(400 * sim::kMillisecond, fault::FaultKind::kLinkDown,
+                     "L2->S2#0");
+  cfg.fault_plan.add(1200 * sim::kMillisecond, fault::FaultKind::kLinkUp,
+                     "L2->S2#0");
+  cfg.max_sim_time = 2 * sim::kSecond;
+  return cfg;
+}
+
+bool is_fault_metric(Metric m) {
+  return m == Metric::kPreFaultMiceFct || m == Metric::kFaultInflation ||
+         m == Metric::kRecovery;
+}
 
 std::vector<Series> schemes(std::initializer_list<Scheme> list) {
   std::vector<Series> out;
@@ -241,6 +277,36 @@ std::vector<FigureSpec> make_figures() {
            {Scheme::kEcmp, Scheme::kEdgeFlowlet, Scheme::kCloveEcn}),
        .panels = {{.asymmetric = true, .xs = {0.6}}},
        .tables = avg_p99_s},
+      // §5.2 dynamics: ECMP has no edge state to repair, so mice hashed into
+      // the blackhole serve the guest's 200 ms min-RTO and it never
+      // recovers while the link is down. Flowlet schemes re-roll paths at
+      // the next gap; Clove's path-health monitor also evicts the dead
+      // outer ports and renormalizes its weights onto the survivors. The
+      // scale is pinned so the committed baseline and CI measure the same
+      // schedule.
+      {.name = "BENCH_fault",
+       .paper_ref = "link-failure recovery dynamics (paper §5.2 / Fig. 4c, "
+                    "DESIGN.md §8)",
+       .title = "Fault recovery: time-to-recover after a mid-run S2-L2 link "
+                "failure",
+       .profile = make_fault_profile,
+       .series = schemes({Scheme::kEcmp, Scheme::kEdgeFlowlet,
+                          Scheme::kCloveEcn, Scheme::kCloveInt}),
+       .panels = {{.xs = {0.45}}},
+       .tables = {{"mice FCT before the failure (ms) and its inflation in "
+                   "the blackhole window [fail, fail + convergence)",
+                   {Metric::kPreFaultMiceFct, Metric::kFaultInflation},
+                   2},
+                  {"recovery: ms until every 50 ms bucket of mice arrivals "
+                   "is back within 1.2x the pre-fault FCT while the link is "
+                   "down (never = still slow when it returns)",
+                   {Metric::kRecovery, Metric::kPathEvictions,
+                    Metric::kPathReadmissions},
+                   0}},
+       .scale = harness::BenchScale{
+           .jobs_per_conn = 300, .seeds = 1, .conns_per_client = 2},
+       .values = {Metric::kPreFaultMiceFct, Metric::kFaultInflation,
+                  Metric::kRecovery}},
   };
 }
 
@@ -253,11 +319,53 @@ std::string metric_name(Metric m) {
     case Metric::kMiceP99: return "mice p99 FCT";
     case Metric::kMiceCdf: return "mice FCT CDF";
     case Metric::kGoodput: return "goodput";
+    case Metric::kPreFaultMiceFct: return "pre-fault mice FCT";
+    case Metric::kFaultInflation: return "inflation (x)";
+    case Metric::kRecovery: return "recovery";
+    case Metric::kPathEvictions: return "evictions";
+    case Metric::kPathReadmissions: return "readmissions";
   }
   return "?";
 }
 
-double value(const harness::ExperimentResult& r, Metric m) {
+/// The row name of an exported value (FigureSpec::values).
+std::string metric_key(Metric m) {
+  switch (m) {
+    case Metric::kAvg: return "avg_fct_s";
+    case Metric::kMiceAvg: return "mice_avg_fct_s";
+    case Metric::kElephantAvg: return "elephant_avg_fct_s";
+    case Metric::kP99: return "p99_fct_s";
+    case Metric::kMiceP99: return "mice_p99_fct_s";
+    case Metric::kMiceCdf: return "mice_fct_cdf";
+    case Metric::kGoodput: return "goodput_gbps";
+    case Metric::kPreFaultMiceFct: return "pre_fail_mice_fct_ms";
+    case Metric::kFaultInflation: return "fct_inflation_x";
+    case Metric::kRecovery: return "recovery_ms";
+    case Metric::kPathEvictions: return "path_evictions";
+    case Metric::kPathReadmissions: return "path_readmissions";
+  }
+  return "?";
+}
+
+/// A scheme's name as a value-row prefix: "Clove-ECN" -> "clove_ecn".
+std::string scheme_key(Scheme s) {
+  std::string key = harness::scheme_name(s);
+  for (char& c : key) {
+    c = c == '-' ? '_' : static_cast<char>(std::tolower(
+                             static_cast<unsigned char>(c)));
+  }
+  return key;
+}
+
+/// A folded sweep point: the seeds' pooled result and, for a fault run,
+/// their recovery readouts.
+struct Folded {
+  harness::ExperimentResult run;
+  FaultRecovery fault{};
+};
+
+double value(const Folded& f, Metric m) {
+  const harness::ExperimentResult& r = f.run;
   switch (m) {
     case Metric::kAvg: return r.avg_fct_s;
     case Metric::kMiceAvg: return r.mice_avg_fct_s;
@@ -266,8 +374,22 @@ double value(const harness::ExperimentResult& r, Metric m) {
     case Metric::kMiceP99: return r.mice_p99_fct_s;
     case Metric::kGoodput: return r.goodput_gbps;
     case Metric::kMiceCdf: break;  // a whole distribution, not one value
+    case Metric::kPreFaultMiceFct: return f.fault.pre_fct_ms;
+    case Metric::kFaultInflation: return f.fault.inflation_x;
+    case Metric::kRecovery: return f.fault.recovery_ms;
+    case Metric::kPathEvictions: return static_cast<double>(r.path_evictions);
+    case Metric::kPathReadmissions:
+      return static_cast<double>(r.path_readmissions);
   }
   return 0.0;
+}
+
+/// One table cell: `m` of `f`, scaled and rounded; a recovery of -1 reads
+/// "never".
+std::string cell(const Folded& f, Metric m, const TableSpec& t) {
+  const double v = value(f, m);
+  if (m == Metric::kRecovery && v < 0.0) return "never";
+  return stats::Table::fmt(v * t.unit, t.decimals);
 }
 
 /// Row label of an x value in a table.
@@ -352,14 +474,26 @@ harness::ExperimentResult run_seed(XAxis axis, harness::ExperimentConfig cfg,
 }
 
 /// Fold a point's seeds, in seed order: averages are means of the per-seed
-/// averages, counters are summed, percentiles come from every seed's FCT
-/// samples pooled, and the metrics snapshot is the last seed's.
-harness::ExperimentResult fold(std::vector<harness::ExperimentResult>& runs,
-                               std::size_t first, int seeds) {
-  harness::ExperimentResult out;
+/// averages (recovery too, unless a seed never recovers: then -1), counters
+/// are summed, percentiles come from every seed's FCT samples pooled, and
+/// the metrics snapshot and flight summary are the last seed's.
+Folded fold(std::vector<harness::ExperimentResult>& runs, std::size_t first,
+            int seeds, const std::optional<FaultWindow>& window) {
+  Folded folded;
+  harness::ExperimentResult& out = folded.run;
   out.fct = std::make_shared<stats::FctRecorder>();
+  if (window) folded.fault.recovery_ms = 0.0;
   for (int s = 0; s < seeds; ++s) {
     harness::ExperimentResult& r = runs[first + static_cast<std::size_t>(s)];
+    if (window) {
+      const FaultRecovery f = fault_recovery(r.mice, *window);
+      folded.fault.pre_fct_ms += f.pre_fct_ms / seeds;
+      folded.fault.inflation_x += f.inflation_x / seeds;
+      double& rec = folded.fault.recovery_ms;
+      rec = rec < 0.0 || f.recovery_ms < 0.0 ? -1.0
+                                              : rec + f.recovery_ms / seeds;
+    }
+    r.mice = {};
     out.avg_fct_s += r.avg_fct_s / seeds;
     out.mice_avg_fct_s += r.mice_avg_fct_s / seeds;
     out.elephant_avg_fct_s += r.elephant_avg_fct_s / seeds;
@@ -370,14 +504,17 @@ harness::ExperimentResult fold(std::vector<harness::ExperimentResult>& runs,
     out.ecn_marks += r.ecn_marks;
     out.drops += r.drops;
     out.events += r.events;
+    out.path_evictions += r.path_evictions;
+    out.path_readmissions += r.path_readmissions;
     if (r.queue_hwm > out.queue_hwm) out.queue_hwm = r.queue_hwm;
     if (r.fct) out.fct->merge(*r.fct);
     r.fct.reset();  // pooled now; frees the samples while the sweep folds
     out.metrics = std::move(r.metrics);
+    out.flight = std::move(r.flight);
   }
   out.p99_fct_s = out.fct->all().percentile(99);
   out.mice_p99_fct_s = out.fct->mice().percentile(99);
-  return out;
+  return folded;
 }
 
 /// Fabric-wide aggregates of the registry snapshot: compact enough to embed
@@ -434,7 +571,7 @@ void record(Artifact& artifact, XAxis axis, const harness::ExperimentConfig& cfg
 }
 
 /// The folded results of one panel, indexed [x][series].
-using PanelResults = std::vector<std::vector<harness::ExperimentResult>>;
+using PanelResults = std::vector<std::vector<Folded>>;
 
 void print_table(const FigureSpec& spec, const Panel& panel,
                  const TableSpec& t, const PanelResults& res) {
@@ -447,9 +584,9 @@ void print_table(const FigureSpec& spec, const Panel& panel,
       stats::Table table(head);
       for (int pct : {10, 25, 50, 75, 90, 95, 99}) {
         std::vector<std::string> row{std::to_string(pct)};
-        for (const harness::ExperimentResult& r : res[xi]) {
+        for (const Folded& f : res[xi]) {
           row.push_back(stats::Table::fmt(
-              r.fct->mice().percentile(pct) * t.unit, t.decimals));
+              f.run.fct->mice().percentile(pct) * t.unit, t.decimals));
         }
         table.add_row(row);
       }
@@ -463,10 +600,7 @@ void print_table(const FigureSpec& spec, const Panel& panel,
     stats::Table table(head);
     for (std::size_t xi = 0; xi < panel.xs.size(); ++xi) {
       std::vector<std::string> row{x_label(spec.axis, panel.xs[xi])};
-      for (const harness::ExperimentResult& r : res[xi]) {
-        row.push_back(
-            stats::Table::fmt(value(r, t.metrics[0]) * t.unit, t.decimals));
-      }
+      for (const Folded& f : res[xi]) row.push_back(cell(f, t.metrics[0], t));
       table.add_row(row);
     }
     table.print();
@@ -479,10 +613,7 @@ void print_table(const FigureSpec& spec, const Panel& panel,
     for (std::size_t si = 0; si < spec.series.size(); ++si) {
       std::vector<std::string> row{x_label(spec.axis, panel.xs[xi]),
                                    spec.series[si].label};
-      for (Metric m : t.metrics) {
-        row.push_back(
-            stats::Table::fmt(value(res[xi][si], m) * t.unit, t.decimals));
-      }
+      for (Metric m : t.metrics) row.push_back(cell(res[xi][si], m, t));
       table.add_row(row);
     }
   }
@@ -517,6 +648,43 @@ void print_headline(const FigureSpec& spec, const Panel& panel,
   std::printf("\n");
 }
 
+/// With the flight recorder on, each point's per-spine byte and flowlet
+/// shares before the failure and while the link is down, from packet
+/// provenance, and whether the auditors stayed clean through it.
+void print_fault_shares(const FigureSpec& spec, const Panel& panel,
+                        const PanelResults& res, const FaultWindow& w) {
+  if (telemetry::FlightConfig::from_env().mode ==
+      telemetry::FlightMode::kOff) {
+    return;
+  }
+  std::printf("\nflight recorder: share per spine before the failure -> "
+              "while the link is down [%s, %s):\n",
+              sim::format_time(w.fail).c_str(),
+              sim::format_time(w.restore).c_str());
+  for (std::size_t xi = 0; xi < panel.xs.size(); ++xi) {
+    for (std::size_t si = 0; si < spec.series.size(); ++si) {
+      const telemetry::FlightSummary& fs = res[xi][si].run.flight;
+      const auto pre = fs.shares(0, w.fail);
+      const auto post = fs.shares(w.fail, w.restore);
+      std::printf("  %-14s", spec.series[si].label.c_str());
+      if (!pre.empty() && !post.empty()) {
+        std::printf(" bytes");
+        for (std::size_t i = 0; i < fs.paths.size(); ++i) {
+          std::printf(" %s %.1f%% -> %.1f%%", fs.path_names[i].c_str(),
+                      pre[i].bytes_pct, post[i].bytes_pct);
+        }
+        std::printf(" | flowlets");
+        for (std::size_t i = 0; i < fs.paths.size(); ++i) {
+          std::printf(" %s %.1f%% -> %.1f%%", fs.path_names[i].c_str(),
+                      pre[i].flowlets_pct, post[i].flowlets_pct);
+        }
+      }
+      std::printf(" | audits %s\n",
+                  fs.audit.total() == 0 ? "[clean]" : "[VIOLATIONS]");
+    }
+  }
+}
+
 }  // namespace
 
 const std::vector<FigureSpec>& figures() {
@@ -536,6 +704,95 @@ void validate(const FigureSpec& spec) {
   for (const Panel& panel : spec.panels) {
     for (const Headline& h : panel.headlines) (void)resolve(spec, panel, h);
   }
+  std::vector<Metric> metrics = spec.values;
+  for (const TableSpec& t : spec.tables) {
+    metrics.insert(metrics.end(), t.metrics.begin(), t.metrics.end());
+  }
+  for (Metric m : metrics) {
+    if (is_fault_metric(m) && !fault_window(spec.profile().fault_plan)) {
+      throw std::invalid_argument(spec.name + ": " + metric_name(m) +
+                                  " needs a link failure in the fault plan");
+    }
+  }
+  if (!spec.values.empty()) {
+    std::size_t xs = 0;
+    for (const Panel& panel : spec.panels) xs += panel.xs.size();
+    std::set<Scheme> seen;
+    for (const Series& s : spec.series) {
+      if (xs != 1 || !seen.insert(s.scheme).second) {
+        throw std::invalid_argument(
+            spec.name + ": exported values need one point per scheme");
+      }
+    }
+  }
+}
+
+std::optional<FaultWindow> fault_window(const fault::FaultPlan& plan) {
+  const fault::FaultEvent* down = nullptr;
+  for (const fault::FaultEvent& e : plan.events) {
+    if (e.kind == fault::FaultKind::kLinkDown && (!down || e.at < down->at)) {
+      down = &e;
+    }
+  }
+  if (!down) return std::nullopt;
+  const fault::FaultEvent* up = nullptr;
+  for (const fault::FaultEvent& e : plan.events) {
+    if (e.kind == fault::FaultKind::kLinkUp &&
+        e.target == down->target && e.at > down->at &&
+        (!up || e.at < up->at)) {
+      up = &e;
+    }
+  }
+  if (!up) return std::nullopt;
+  return FaultWindow{down->at, up->at, plan.route_convergence};
+}
+
+FaultRecovery fault_recovery(const std::vector<harness::MouseFct>& mice,
+                             const FaultWindow& w) {
+  struct Bucket {
+    double sum_ms{0.0};
+    int n{0};
+  };
+  std::vector<Bucket> buckets;
+  double pre_sum = 0.0, post_sum = 0.0;
+  int pre_n = 0, post_n = 0;
+  for (const harness::MouseFct& m : mice) {
+    const double fct_ms = sim::to_milliseconds(m.fct);
+    if (m.arrival >= kPreFaultStart && m.arrival < w.fail) {
+      pre_sum += fct_ms;
+      ++pre_n;
+    }
+    if (m.arrival >= w.fail && m.arrival < w.fail + w.convergence) {
+      post_sum += fct_ms;
+      ++post_n;
+    }
+    const auto idx = static_cast<std::size_t>(m.arrival / kRecoveryBucket);
+    if (idx >= buckets.size()) buckets.resize(idx + 1);
+    buckets[idx].sum_ms += fct_ms;
+    ++buckets[idx].n;
+  }
+
+  FaultRecovery out;
+  out.pre_fct_ms = pre_n > 0 ? pre_sum / pre_n : 0.0;
+  out.inflation_x = (post_n > 0 && out.pre_fct_ms > 0.0)
+                        ? (post_sum / post_n) / out.pre_fct_ms
+                        : 0.0;
+  const auto first = static_cast<std::size_t>(w.fail / kRecoveryBucket);
+  const auto last = static_cast<std::size_t>(w.restore / kRecoveryBucket);
+  double recovered_at = 0.0;
+  bool never = false;
+  for (std::size_t i = first; i < last; ++i) {
+    const Bucket b = i < buckets.size() ? buckets[i] : Bucket{};
+    const double mean = b.n > 0 ? b.sum_ms / b.n : 0.0;
+    if (b.n < kMinBucketMice || mean > kRecoveredBound * out.pre_fct_ms) {
+      recovered_at = sim::to_milliseconds(static_cast<sim::Time>(i + 1) *
+                                          kRecoveryBucket) -
+                     sim::to_milliseconds(w.fail);
+      never = (i + 1 == last);
+    }
+  }
+  out.recovery_ms = never ? -1.0 : recovered_at;
+  return out;
 }
 
 std::optional<double> capture_fraction(double base, double x, double best) {
@@ -544,9 +801,29 @@ std::optional<double> capture_fraction(double base, double x, double best) {
   return (base - x) / gain;
 }
 
-void run_figure(const FigureSpec& spec, const harness::BenchScale& scale) {
-  print_header(spec.title, spec.paper_ref, scale);
+void run_figure(const FigureSpec& spec,
+                const harness::BenchScale& env_scale) {
+  const harness::BenchScale scale = spec.scale.value_or(env_scale);
+  std::printf("== %s ==\nreproduces: %s\n", spec.title.c_str(),
+              spec.paper_ref.c_str());
+  std::printf("scale: %d jobs/conn x %d conns/client x %d seed(s)   (%s)\n\n",
+              scale.jobs_per_conn, scale.conns_per_client, scale.seeds,
+              spec.scale ? "pinned by the figure"
+                         : "CLOVE_JOBS / CLOVE_CONNS / CLOVE_SEEDS to change");
+  const std::optional<FaultWindow> window =
+      fault_window(spec.profile().fault_plan);
+  if (window) {
+    std::printf("fault: a link fails at %s, routes converge %s later, the "
+                "link returns at %s\n",
+                sim::format_time(window->fail).c_str(),
+                sim::format_time(window->convergence).c_str(),
+                sim::format_time(window->restore).c_str());
+  }
   Artifact artifact(spec.name, spec.paper_ref, scale);
+  // A figure's runs go in parallel, so events over wall time measures
+  // CLOVE_THREADS as much as the engine: the rate stays in the `engine`
+  // section and is not mirrored into a checkable value.
+  artifact.set_mirror_engine_rate(false);
 
   // Every (panel, x, series) point, each run once per seed, all in one
   // parallel batch; map() returns results in this order.
@@ -583,12 +860,17 @@ void run_figure(const FigureSpec& spec, const harness::BenchScale& scale) {
         const Point& p = points[next];
         row.push_back(fold(seed_results,
                            next * static_cast<std::size_t>(scale.seeds),
-                           scale.seeds));
-        record(artifact, spec.axis, p.cfg, *p.series, p.x, row.back());
+                           scale.seeds, window));
+        record(artifact, spec.axis, p.cfg, *p.series, p.x, row.back().run);
+        for (Metric m : spec.values) {
+          artifact.add_value(scheme_key(p.cfg.scheme) + "." + metric_key(m),
+                             value(row.back(), m));
+        }
       }
     }
     if (!panel.title.empty()) std::printf("\n%s\n", panel.title.c_str());
     for (const TableSpec& t : spec.tables) print_table(spec, panel, t, res);
+    if (window) print_fault_shares(spec, panel, res, *window);
     if (!panel.headlines.empty()) std::printf("\nheadlines:\n");
     for (const Headline& h : panel.headlines) {
       print_headline(spec, panel, h, res);

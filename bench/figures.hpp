@@ -1,6 +1,7 @@
 #pragma once
 
-// The paper's evaluation grids (Figs. 4b-9, ablations A1-A4) as data.
+// The paper's evaluation grids (Figs. 4b-9, ablations A1-A4, the §5.2
+// link-failure dynamics) as data.
 //
 // Each FigureSpec names one artifact and declares what to simulate (profile,
 // fabric, x axis, series), what to print (tables) and which headline claims
@@ -27,6 +28,12 @@ enum class Metric {
   kMiceP99,      ///< 99th-percentile mice FCT, pooled
   kMiceCdf,      ///< mice FCT percentiles (a table of its own: rows are pcts)
   kGoodput,      ///< incast client goodput, Gb/s
+  // Fault runs (the profile's plan has a FaultWindow); see FaultRecovery.
+  kPreFaultMiceFct,   ///< mean mice FCT before the failure, ms
+  kFaultInflation,    ///< blackhole-window mice FCT / pre-fault FCT
+  kRecovery,          ///< ms from the failure to recovery; -1 = never
+  kPathEvictions,     ///< path-health evictions, summed over clients
+  kPathReadmissions,  ///< path-health readmissions, summed over clients
 };
 
 /// What the x axis sweeps; it also selects the workload that runs.
@@ -93,14 +100,21 @@ struct FigureSpec {
   std::vector<Series> series;
   std::vector<Panel> panels;
   std::vector<TableSpec> tables;
+  /// A scale the figure always runs at, in place of CLOVE_JOBS / CLOVE_SEEDS
+  /// / CLOVE_CONNS (for a committed baseline that CI re-checks).
+  std::optional<harness::BenchScale> scale{};
+  /// Metrics exported per point as `<scheme_key>.<row>` artifact values,
+  /// e.g. `clove_ecn.recovery_ms`; needs one point per scheme.
+  std::vector<Metric> values{};
 };
 
 /// Every figure and ablation, in the order `bench_figures` runs them.
 [[nodiscard]] const std::vector<FigureSpec>& figures();
 
 /// Throws std::invalid_argument when the spec cannot run as declared:
-/// duplicate series labels, or a headline naming a series or x value the
-/// spec does not have.
+/// duplicate series labels, a headline naming a series or x value the spec
+/// does not have, a fault metric without a FaultWindow in the profile's
+/// plan, or exported values without exactly one point per scheme.
 void validate(const FigureSpec& spec);
 
 /// The share of the base -> best gain that x captures; nullopt when best is
@@ -108,9 +122,45 @@ void validate(const FigureSpec& spec);
 [[nodiscard]] std::optional<double> capture_fraction(double base, double x,
                                                      double best);
 
-/// Simulate every point of `spec`, write its artifact (when CLOVE_JSON_OUT
-/// is set) and print its tables and headlines. Call validate() first: a
-/// headline that does not resolve throws only after the simulations ran.
+/// The first link failure of a fault plan: when the link fails, when it
+/// comes back, and how long routing takes to converge around it.
+struct FaultWindow {
+  sim::Time fail{0};
+  sim::Time restore{0};
+  sim::Time convergence{0};
+};
+
+/// The plan's earliest link_down and the earliest link_up of the same link
+/// after it; nullopt when the plan has no such pair.
+[[nodiscard]] std::optional<FaultWindow> fault_window(
+    const fault::FaultPlan& plan);
+
+/// One run's recovery from a FaultWindow (paper §5.2 failure dynamics).
+/// Mice are bucketed by ARRIVAL time in 50 ms buckets: a mouse that stalls
+/// into a 200 ms RTO counts against the moment it was issued. Bucketing by
+/// completion has survivorship bias: during the outage only the lucky flows
+/// finish, so the outage looks fast while stalled traffic piles into later
+/// buckets.
+struct FaultRecovery {
+  /// Mean FCT of mice arriving in [150 ms, fail), after the warm-up.
+  double pre_fct_ms{0.0};
+  /// Mean FCT of mice arriving in [fail, fail + convergence) over
+  /// pre_fct_ms; 0 without samples.
+  double inflation_x{0.0};
+  /// A bucket in [fail, restore) is bad when fewer than 5 mice arrived in
+  /// it or their mean FCT exceeds 1.2x pre_fct_ms. Recovery is the end of
+  /// the last bad bucket, in ms after the failure; -1 (never) when the
+  /// bucket just before the restore is bad.
+  double recovery_ms{-1.0};
+};
+
+[[nodiscard]] FaultRecovery fault_recovery(
+    const std::vector<harness::MouseFct>& mice, const FaultWindow& window);
+
+/// Simulate every point of `spec` at `scale` (unless the spec pins its own),
+/// write its artifact (when CLOVE_JSON_OUT is set) and print its tables and
+/// headlines. Call validate() first: a headline that does not resolve
+/// throws only after the simulations ran.
 void run_figure(const FigureSpec& spec, const harness::BenchScale& scale);
 
 }  // namespace clove::bench

@@ -26,25 +26,19 @@
 namespace {
 
 /// One line of provenance per scheme: where the bytes actually went, and
-/// whether the always-on auditors stayed clean. Uses the recorder's learned
-/// node names, so call while the scheme's last run is still current.
+/// whether the always-on auditors stayed clean.
 void print_flight_summary(const char* scheme,
                           const clove::telemetry::FlightSummary& fs) {
-  const clove::telemetry::FlightRecorder* fr = clove::telemetry::flight();
-  std::uint64_t total_bytes = 0;
-  for (const auto& p : fs.paths) total_bytes += p.bytes;
   std::printf("  %-13s %llu pkts, %llu journeys (recon %.1f%%), %llu flowlets",
               scheme, static_cast<unsigned long long>(fs.packets_seen),
               static_cast<unsigned long long>(fs.journeys_started),
               fs.reconstruction_rate() * 100.0,
               static_cast<unsigned long long>(fs.flowlets));
-  if (fr != nullptr && total_bytes > 0) {
-    std::printf(" |");
-    for (const auto& p : fs.paths) {
-      std::printf(" via %s %.1f%%", fr->node_name(p.via).c_str(),
-                  100.0 * static_cast<double>(p.bytes) /
-                      static_cast<double>(total_bytes));
-    }
+  const auto shares = fs.shares();
+  if (!shares.empty()) std::printf(" |");
+  for (std::size_t i = 0; i < shares.size(); ++i) {
+    std::printf(" via %s %.1f%%", fs.path_names[i].c_str(),
+                shares[i].bytes_pct);
   }
   std::printf(" | audits c=%llu fr=%llu vr=%llu em=%llu %s\n",
               static_cast<unsigned long long>(fs.audit.conservation),

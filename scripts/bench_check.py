@@ -34,7 +34,9 @@ carries (stdlib only — this runs in CI before anything is installed):
   for bucket-boundary jitter. A baseline < 0 means the scheme never
   recovered (by design for ECMP) and the row is informational; a current
   value < 0 against a recovering baseline is a hard FAIL — the scheme lost
-  its ability to recover, which no tolerance forgives.
+  its ability to recover, which no tolerance forgives. So is a baseline
+  recovery row missing from the current artifact: simulated time never
+  legitimately disappears, and CI must not check fewer rows.
 
 * Memory ceilings (``*.rss_mb``, the scale bench and the per-artifact engine
   gauge): current peak RSS must stay under baseline * (1 + tol) +
@@ -43,10 +45,11 @@ carries (stdlib only — this runs in CI before anything is installed):
   through both.
 
 Every name that matches no family is printed as an ``[info]`` row, so a
-typo'd metric never silently skips enforcement. Metrics present in only one
-of the two files are reported but non-fatal: benches gain and lose counters
-across PRs, and the baseline is refreshed by re-running ./run_benches.sh
-(artifacts land at the repo root by default).
+typo'd metric never silently skips enforcement. Other metrics present in
+only one of the two files are reported but non-fatal: benches gain and lose
+counters across PRs (the hybrid rows exist only with CLOVE_HYBRID=on), and
+the baseline is refreshed by re-running ./run_benches.sh (artifacts land at
+the repo root by default).
 
 Env overrides: BENCH_CHECK_TOLERANCE (relative, default 0.25) and
 BENCH_CHECK_RATIO_SLACK (absolute band for ``*_ratio`` rows, default 0.02 —
@@ -153,6 +156,18 @@ def check_one(name, b, c, tol, ratio_slack=RATIO_SLACK):
     return ("info", f"{c:.6g} (baseline {b:.6g}, no rule; informational)")
 
 
+def missing_row(name, base, cur):
+    """Status of a name present in only one of the two files.
+
+    A baseline recovery row missing from the current artifact FAILs; any
+    other one-sided name is a non-fatal skip.
+    """
+    if name in base and is_recovery(name):
+        return ("FAIL", "in the baseline but missing from the current run")
+    side = "baseline" if name not in cur else "current"
+    return ("skip", f"only in {side}")
+
+
 def main(argv):
     if len(argv) != 3:
         print(__doc__.strip().splitlines()[2], file=sys.stderr)
@@ -171,13 +186,12 @@ def main(argv):
     checked = 0
     for name in sorted(set(base) | set(cur)):
         if name not in base or name not in cur:
-            side = "baseline" if name not in cur else "current"
-            print(f"  [skip] {name}: only in {side}")
-            continue
-        status, detail = check_one(name, base[name], cur[name], tol,
-                                   ratio_slack)
+            status, detail = missing_row(name, base, cur)
+        else:
+            status, detail = check_one(name, base[name], cur[name], tol,
+                                       ratio_slack)
         print(f"  [{status}] {name}: {detail}")
-        if status != "info":
+        if status not in ("info", "skip"):
             checked += 1
         if status == "FAIL":
             failures.append(name)

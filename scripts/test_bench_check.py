@@ -8,8 +8,11 @@ name ever falls through silently (the historical bug: an unknown suffix was
 skipped without a trace, so a renamed metric lost enforcement invisibly).
 """
 
+import contextlib
+import json
 import os
 import sys
+import tempfile
 import unittest
 
 sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
@@ -104,6 +107,38 @@ class TestCheckOne(unittest.TestCase):
         self.assertEqual(self.status(n, 100.0, 150.0), "ok")   # under 125 + 50 slack
         self.assertEqual(self.status(n, 100.0, 180.0), "FAIL")
         self.assertEqual(self.status(n, 100.0, -1.0), "FAIL")  # lost recovery
+
+    def test_missing_recovery_row_fails(self):
+        base = {"clove_ecn.recovery_ms": 350.0, "hybrid.k8_speedup_ratio": 50.0}
+        self.assertEqual(
+            bc.missing_row("clove_ecn.recovery_ms", base, {})[0], "FAIL")
+        # Hybrid rows legitimately exist only on the CLOVE_HYBRID=on leg.
+        self.assertEqual(
+            bc.missing_row("hybrid.k8_speedup_ratio", base, {})[0], "skip")
+        # A recovery row new in the current run has nothing to compare to.
+        self.assertEqual(
+            bc.missing_row("clove_int.recovery_ms", {}, {"x": 1.0})[0], "skip")
+
+    def test_missing_recovery_row_fails_the_run(self):
+        def artifact(values):
+            f = tempfile.NamedTemporaryFile("w", suffix=".json", delete=False)
+            json.dump({"values": [{"name": k, "value": v}
+                                  for k, v in values.items()]}, f)
+            f.close()
+            self.addCleanup(os.unlink, f.name)
+            return f.name
+        base = artifact({"ecmp.recovery_ms": -1.0,
+                         "clove_ecn.recovery_ms": 350.0,
+                         "engine.rss_mb": 50.0})
+        whole = artifact({"ecmp.recovery_ms": -1.0,
+                          "clove_ecn.recovery_ms": 350.0,
+                          "engine.rss_mb": 50.0})
+        short = artifact({"ecmp.recovery_ms": -1.0, "engine.rss_mb": 50.0})
+        with open(os.devnull, "w") as null, \
+                contextlib.redirect_stdout(null), \
+                contextlib.redirect_stderr(null):
+            self.assertEqual(bc.main(["bench_check.py", base, whole]), 0)
+            self.assertEqual(bc.main(["bench_check.py", base, short]), 1)
 
     def test_unknown_name_is_info_not_silent(self):
         status, detail = bc.check_one("x.pool_allocated", 5.0, 9.0, self.TOL)

@@ -324,6 +324,12 @@ ExperimentResult run_fct_experiment(const ExperimentConfig& cfg,
 
   workload::ClientServerWorkload ws(tb.simulator(), wl, tb.clients(),
                                     tb.servers());
+  ExperimentResult r;
+  ws.on_job = [&r](std::uint64_t size, sim::Time arrival, sim::Time finished) {
+    if (size < stats::FctRecorder::kMiceMaxBytes) {
+      r.mice.push_back({arrival, finished - arrival});
+    }
+  };
   bool done = false;
   ws.start([&] {
     done = true;
@@ -332,7 +338,6 @@ ExperimentResult run_fct_experiment(const ExperimentConfig& cfg,
   tb.simulator().run(cfg.max_sim_time);
   (void)done;
 
-  ExperimentResult r;
   r.jobs = ws.jobs_done();
   r.avg_fct_s = ws.fct().all().mean();
   r.mice_avg_fct_s = ws.fct().mice().mean();
@@ -347,6 +352,12 @@ ExperimentResult run_fct_experiment(const ExperimentConfig& cfg,
   r.events = tb.simulator().events_processed();
   r.queue_hwm = tb.simulator().queue_high_water();
   r.fct = std::make_shared<stats::FctRecorder>(std::move(ws.fct()));
+  for (overlay::Hypervisor* c : tb.clients()) {
+    if (const auto* ph = c->path_health()) {
+      r.path_evictions += ph->stats().evictions;
+      r.path_readmissions += ph->stats().readmissions;
+    }
+  }
 
   // Fold this run's engine gauges into the installed profiler (one cold pass
   // per experiment; the parallel runner later merges per-task profilers).

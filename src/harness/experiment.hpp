@@ -85,6 +85,13 @@ struct ExperimentConfig {
   hybrid::HybridConfig hybrid{hybrid::HybridConfig::from_env()};
 };
 
+/// One mouse (flow < 100 KB) of an FCT run: when it arrived and how long it
+/// took to complete.
+struct MouseFct {
+  sim::Time arrival{0};
+  sim::Time fct{0};
+};
+
 /// Shared result shape for the FCT and incast experiments.
 struct ExperimentResult {
   double avg_fct_s{0.0};
@@ -105,6 +112,13 @@ struct ExperimentResult {
   double goodput_gbps{0.0};
   /// This run's per-flow FCT samples, for percentiles and CDFs (Fig. 9).
   std::shared_ptr<stats::FctRecorder> fct;
+  /// Every mouse in completion order (run_fct_experiment only), so fault
+  /// runs can bucket FCTs by arrival time.
+  std::vector<MouseFct> mice;
+  /// Path-health evictions and readmissions summed over the clients (0
+  /// unless cfg.path_health is on).
+  std::uint64_t path_evictions{0};
+  std::uint64_t path_readmissions{0};
   /// Telemetry registry snapshot taken at run end (empty values when
   /// telemetry is disabled; see CLOVE_TELEMETRY).
   telemetry::MetricsSnapshot metrics;

@@ -570,8 +570,9 @@ FlightSummary FlightRecorder::summary(sim::Time now, sim::Time grace) {
   s.flowlets_attributed = flowlets_attributed_;
   s.audit = audit_;
   // Merge usage buckets into one row per via for the at-a-glance share view.
+  s.usage = path_usage();
   util::FlatMap<std::uint64_t, PathUsage> merged;
-  for (const PathUsage& u : path_usage()) {
+  for (const PathUsage& u : s.usage) {
     PathUsage& m = merged[u.via];
     m.via = u.via;
     m.packets += u.packets;
@@ -583,7 +584,41 @@ FlightSummary FlightRecorder::summary(sim::Time now, sim::Time grace) {
   }
   std::sort(s.paths.begin(), s.paths.end(),
             [](const PathUsage& a, const PathUsage& b) { return a.via < b.via; });
+  for (const PathUsage& p : s.paths) s.path_names.push_back(node_name(p.via));
   return s;
+}
+
+std::vector<PathShare> FlightSummary::shares(sim::Time from,
+                                             sim::Time to) const {
+  std::vector<std::uint64_t> bytes(paths.size(), 0);
+  std::vector<std::uint64_t> flowlets(paths.size(), 0);
+  std::uint64_t total_bytes = 0;
+  std::uint64_t total_flowlets = 0;
+  for (const PathUsage& u : usage) {
+    if (u.bucket_start < from || u.bucket_start >= to) continue;
+    const auto i = static_cast<std::size_t>(
+        std::lower_bound(paths.begin(), paths.end(), u.via,
+                         [](const PathUsage& p, std::uint32_t via) {
+                           return p.via < via;
+                         }) -
+        paths.begin());
+    bytes[i] += u.bytes;
+    flowlets[i] += u.flowlets;
+    total_bytes += u.bytes;
+    total_flowlets += u.flowlets;
+  }
+  std::vector<PathShare> out;
+  if (total_bytes == 0) return out;
+  auto pct = [](std::uint64_t part, std::uint64_t total) {
+    return total > 0 ? 100.0 * static_cast<double>(part) /
+                           static_cast<double>(total)
+                     : 0.0;
+  };
+  for (std::size_t i = 0; i < paths.size(); ++i) {
+    out.push_back({pct(bytes[i], total_bytes),
+                   pct(flowlets[i], total_flowlets)});
+  }
+  return out;
 }
 
 Json FlightSummary::to_json() const {

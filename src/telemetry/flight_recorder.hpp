@@ -161,6 +161,12 @@ struct PathUsage {
   std::uint64_t flowlets{0};
 };
 
+/// One path's share of the traffic in a span of usage buckets, in percent.
+struct PathShare {
+  double bytes_pct{0.0};
+  double flowlets_pct{0.0};
+};
+
 struct AuditCounts {
   std::uint64_t conservation{0};     ///< packets that vanished in-fabric
   std::uint64_t flowlet_reorder{0};  ///< arrival inversions within a flowlet
@@ -185,6 +191,13 @@ struct FlightSummary {
   std::uint64_t flowlets_attributed{0};
   AuditCounts audit{};
   std::vector<PathUsage> paths;       ///< merged over time (one row per via)
+  std::vector<std::string> path_names;  ///< learned name of each paths[i].via
+  std::vector<PathUsage> usage;       ///< per (via, bucket), by (bucket, via)
+
+  /// Each path's share of the usage buckets that start in [from, to),
+  /// parallel to `paths`; empty when those buckets carry no bytes.
+  [[nodiscard]] std::vector<PathShare> shares(
+      sim::Time from = 0, sim::Time to = sim::kTimeNever) const;
 
   /// delivered -> full-path reconstruction rate in [0,1]; 1.0 when nothing
   /// was delivered (vacuously complete).

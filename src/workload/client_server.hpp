@@ -59,7 +59,8 @@ class ClientServerWorkload {
   void start(std::function<void()> on_complete = nullptr);
 
   /// Optional per-job completion tap (size, arrival, finish) — lets callers
-  /// bucket FCTs by completion time (e.g. recovery benches). Set before
+  /// bucket FCTs by arrival time (the fault-recovery readouts do, so a job
+  /// stalled by an outage counts against when it was issued). Set before
   /// start(); fires in addition to the aggregate FctRecorder.
   std::function<void(std::uint64_t size, sim::Time arrival, sim::Time finished)>
       on_job;

@@ -346,6 +346,37 @@ TEST(FlightRecorder, ResetForgetsEverything) {
   EXPECT_EQ(fr.find_journey(1), nullptr);
 }
 
+TEST(FlightRecorder, SummarySharesSplitUsageByTime) {
+  FlightRecorder fr(full_cfg());
+  run_journey(fr, 1, 0, 1, 0);
+  const FlightSummary one = fr.summary(sim::milliseconds(1));
+  EXPECT_EQ(one.path_names, std::vector<std::string>{"S1"});
+  ASSERT_EQ(one.shares().size(), 1u);
+  EXPECT_DOUBLE_EQ(one.shares()[0].bytes_pct, 100.0);
+
+  // Two spines over two 100 ms buckets: S1 carries most bytes in the first,
+  // S2 in the second.
+  const sim::Time t1 = sim::milliseconds(100);
+  FlightSummary fs;
+  fs.paths = {{.via = 2}, {.via = 3}};
+  fs.usage = {{.via = 2, .bucket_start = 0, .bytes = 300, .flowlets = 1},
+              {.via = 3, .bucket_start = 0, .bytes = 100, .flowlets = 1},
+              {.via = 2, .bucket_start = t1, .bytes = 100, .flowlets = 0},
+              {.via = 3, .bucket_start = t1, .bytes = 300, .flowlets = 2}};
+  const auto before = fs.shares(0, t1);
+  ASSERT_EQ(before.size(), 2u);
+  EXPECT_DOUBLE_EQ(before[0].bytes_pct, 75.0);
+  EXPECT_DOUBLE_EQ(before[1].flowlets_pct, 50.0);
+  const auto after = fs.shares(t1);
+  ASSERT_EQ(after.size(), 2u);
+  EXPECT_DOUBLE_EQ(after[1].bytes_pct, 75.0);
+  EXPECT_DOUBLE_EQ(after[0].flowlets_pct, 0.0);
+  const auto all = fs.shares();
+  EXPECT_DOUBLE_EQ(all[0].bytes_pct, 50.0);
+  EXPECT_DOUBLE_EQ(all[1].flowlets_pct, 75.0);
+  EXPECT_TRUE(fs.shares(2 * t1).empty());
+}
+
 // ---------------------------------------------------------------------------
 // End-to-end: the recorder riding along real experiment-harness runs.
 // ---------------------------------------------------------------------------
