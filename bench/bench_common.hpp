@@ -41,11 +41,10 @@ class Artifact {
         start_(std::chrono::steady_clock::now()) {
     doc_.set("bench", telemetry::Json(name_));
     doc_.set("reproduces", telemetry::Json(paper_ref));
-    telemetry::Json sc = telemetry::Json::object();
-    sc.set("jobs_per_conn", telemetry::Json(scale.jobs_per_conn));
-    sc.set("seeds", telemetry::Json(scale.seeds));
-    sc.set("conns_per_client", telemetry::Json(scale.conns_per_client));
-    doc_.set("scale", sc);
+    scale_.set("jobs_per_conn", telemetry::Json(scale.jobs_per_conn));
+    scale_.set("seeds", telemetry::Json(scale.seeds));
+    scale_.set("conns_per_client", telemetry::Json(scale.conns_per_client));
+    doc_.set("scale", scale_);
     // Artifacts without telemetry would carry all-zero counters; requesting
     // JSON output implies wanting the instrumented values.
     if (!telemetry::json_out_dir().empty()) {
@@ -118,6 +117,15 @@ class Artifact {
   /// One swept point (an object; the figure driver builds it).
   void add_point(telemetry::Json point) { points_.push_back(std::move(point)); }
 
+  /// Record, in the `scale` block, the engine modes the run's peak RSS
+  /// depends on: bench_check.py fails an rss row whose baseline was taken
+  /// in other modes.
+  void set_run_modes(unsigned threads, const char* flight_recorder) {
+    scale_.set("threads", telemetry::Json(static_cast<int>(threads)));
+    scale_.set("flight_recorder", telemetry::Json(flight_recorder));
+    doc_.set("scale", scale_);
+  }
+
   /// Free-form named value for benches whose output is not a load sweep
   /// (incast goodput, micro-bench ratios, parameter ablations).
   void add_value(const std::string& name, double value,
@@ -134,6 +142,7 @@ class Artifact {
 
   std::string name_;
   telemetry::Json doc_;
+  telemetry::Json scale_{telemetry::Json::object()};
   telemetry::Json points_;
   telemetry::Json values_;
   std::chrono::steady_clock::time_point start_;

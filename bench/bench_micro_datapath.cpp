@@ -3,20 +3,23 @@
 // processing overhead"): ECMP hashing, flowlet-table touches, WRR picks,
 // DRE updates, full policy pick_port() calls, the simulator event/packet
 // hot loop (events/sec and heap allocations per event — the perf baseline
-// EXPERIMENTS.md tracks), and guest TCP ACK processing through a SACK
-// recovery.
+// EXPERIMENTS.md tracks), guest TCP ACK processing through a SACK
+// recovery, and building and re-routing a k=8 / k=16 fat-tree.
 //
 // With CLOVE_JSON_OUT=<dir> set, the custom main() below writes every
 // benchmark's ns/op and user counters to <dir>/BENCH_micro.json so runs can
 // be diffed across commits.
 
 #include <benchmark/benchmark.h>
+#include <sys/resource.h>
 
 #include <array>
 #include <atomic>
 #include <chrono>
 #include <cstdlib>
+#include <memory>
 #include <new>
+#include <string>
 #include <utility>
 
 #include "bench_common.hpp"
@@ -25,8 +28,10 @@
 #include "lb/ecmp.hpp"
 #include "lb/edge_flowlet.hpp"
 #include "lb/presto.hpp"
+#include "net/fat_tree.hpp"
 #include "net/packet_pool.hpp"
 #include "overlay/flowlet.hpp"
+#include "overlay/hypervisor.hpp"
 #include "sim/simulator.hpp"
 #include "telemetry/dre.hpp"
 #include "telemetry/scope.hpp"
@@ -539,6 +544,78 @@ void BM_TcpSender_SackRecovery(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_TcpSender_SackRecovery);
+
+// --- fabric construction ---------------------------------------------------
+// Builds a k-ary fat-tree of Hypervisor hosts (ECMP policy) the way the
+// repo benchmark's fat-tree workload builds it: nodes and links, their
+// metric cells registered in a fresh telemetry scope (telemetry off, as in
+// an untraced run, so every cell is new), and the initial route
+// computation. Reports per build: wall ns, heap allocations and minor page
+// faults; and ns per route recompute, which every link event triggers.
+// Only allocs_per_build is a committed row; the times and faults are
+// informational.
+
+struct FatTreeRig {
+  telemetry::Scope scope{telemetry::ScopeSettings{}};
+  telemetry::ScopeGuard guard{scope};
+  sim::Simulator sim{1};
+  net::Topology topo{sim};
+
+  explicit FatTreeRig(int k) {
+    net::FatTreeConfig cfg;
+    cfg.k = k;
+    transport::TcpConfig tcp;
+    tcp.ecn = true;
+    net::build_fat_tree(
+        topo, cfg, [this, tcp](net::Topology& t, const std::string& name, int) {
+          overlay::HypervisorConfig h;
+          h.tcp = tcp;
+          return static_cast<net::Node*>(t.add_host<overlay::Hypervisor>(
+              name, sim, h, std::make_unique<lb::EcmpPolicy>()));
+        });
+  }
+};
+
+long minor_faults() {
+  rusage ru{};
+  getrusage(RUSAGE_SELF, &ru);
+  return ru.ru_minflt;
+}
+
+void BM_FatTreeBuild(benchmark::State& state) {
+  using Clock = std::chrono::steady_clock;
+  const int k = static_cast<int>(state.range(0));
+  FatTreeRig(k).topo.compute_routes();  // warm lazily-built process state
+  const std::uint64_t a0 = alloc_count();
+  const long f0 = minor_faults();
+  Clock::duration built{};
+  for (auto _ : state) {
+    const Clock::time_point t0 = Clock::now();
+    auto rig = std::make_unique<FatTreeRig>(k);
+    built += Clock::now() - t0;
+    benchmark::DoNotOptimize(rig->topo.route_epoch());
+    state.PauseTiming();
+    rig.reset();
+    state.ResumeTiming();
+  }
+  const std::uint64_t allocs = alloc_count() - a0;
+  const long faults = minor_faults() - f0;
+  const auto builds = static_cast<double>(state.iterations());
+  state.counters["ns_per_build"] =
+      std::chrono::duration<double, std::nano>(built).count() / builds;
+  state.counters["allocs_per_build"] =
+      static_cast<double>(allocs) / builds;
+  state.counters["faults_per_build"] = static_cast<double>(faults) / builds;
+
+  FatTreeRig rig(k);
+  constexpr int kRecomputes = 8;
+  const Clock::time_point t0 = Clock::now();
+  for (int i = 0; i < kRecomputes; ++i) rig.topo.compute_routes();
+  state.counters["ns_per_recompute"] =
+      std::chrono::duration<double, std::nano>(Clock::now() - t0).count() /
+      kRecomputes;
+}
+BENCHMARK(BM_FatTreeBuild)->Arg(8)->Arg(16)->Unit(benchmark::kMillisecond);
 
 // --- artifact emission -----------------------------------------------------
 

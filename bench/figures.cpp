@@ -824,6 +824,11 @@ void run_figure(const FigureSpec& spec,
   // CLOVE_THREADS as much as the engine: the rate stays in the `engine`
   // section and is not mirrored into a checkable value.
   artifact.set_mirror_engine_rate(false);
+  harness::ParallelRunner runner;
+  artifact.set_run_modes(
+      runner.threads(),
+      telemetry::flight_mode_name(
+          telemetry::current_scope().flight_config().mode));
 
   // Every (panel, x, series) point, each run once per seed, all in one
   // parallel batch; map() returns results in this order.
@@ -849,8 +854,7 @@ void run_figure(const FigureSpec& spec,
     }
   }
   std::vector<harness::ExperimentResult> seed_results =
-      harness::ParallelRunner().map<harness::ExperimentResult>(
-          std::move(runs));
+      runner.map<harness::ExperimentResult>(std::move(runs));
 
   std::size_t next = 0;
   for (const Panel& panel : spec.panels) {

@@ -93,8 +93,9 @@ fi
 # One-line recovery verdict per scheme from the fault figure's artifact
 # (bench_figures BENCH_fault, which pins its own 300 jobs/conn whatever
 # CLOVE_JOBS says; see DESIGN.md §8 and scripts/bench_check.py). CI checks
-# it with CLOVE_FLIGHT_RECORDER=sampled, which raises its engine.rss_mb, so
-# the committed baseline is taken with the recorder sampled too.
+# it with CLOVE_FLIGHT_RECORDER=sampled CLOVE_THREADS=4. Its engine.rss_mb
+# depends on both, the artifact's scale block records them, and
+# bench_check.py fails the rss row against a baseline taken otherwise.
 if [ -n "$CLOVE_JSON_OUT" ] && [ -f "$CLOVE_JSON_OUT/BENCH_fault.json" ]; then
   echo "### fault recovery summary (BENCH_fault.json)"
   python3 - "$CLOVE_JSON_OUT/BENCH_fault.json" <<'EOF'

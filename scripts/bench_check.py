@@ -7,12 +7,14 @@ Two families of checks over the flat `values` array each bench artifact
 carries (stdlib only — this runs in CI before anything is installed):
 
 * Allocation counters (``*.allocs_per_event`` / ``*.allocs_per_pkt`` /
-  ``*.allocs_per_ack``): the current value must not exceed baseline +
-  ALLOC_SLACK. Steady-state pooled paths are pinned at (effectively) zero
-  while the deliberately heap-backed comparison rows (``BM_*_Heap``,
-  baseline == 1) stay allowed at 1. The small absolute slack tolerates rare
-  amortized table maintenance (FlatMap tombstone rebuilds, ring growth)
-  that is not a leak of per-packet allocations.
+  ``*.allocs_per_ack`` / ``*.allocs_per_build``): the current value must
+  not exceed baseline + ALLOC_SLACK. Steady-state pooled paths are pinned
+  at (effectively) zero while the deliberately heap-backed comparison rows
+  (``BM_*_Heap``, baseline == 1) stay allowed at 1. The small absolute
+  slack tolerates rare amortized table maintenance (FlatMap tombstone
+  rebuilds, ring growth) that is not a leak of per-packet allocations.
+  A per-build count (a fabric build after a warm-up build) is exact, so it
+  gets the same near-exact limit.
 
 * Throughput (``*_per_sec`` — pkts_per_sec, events_per_sec, …) and latency
   (``*.ns_per_*``): fail on a regression beyond TOLERANCE (default 25%,
@@ -42,7 +44,11 @@ carries (stdlib only — this runs in CI before anything is installed):
   gauge): current peak RSS must stay under baseline * (1 + tol) +
   RSS_SLACK_MB. The absolute slack absorbs allocator/page-size differences
   between machines; a real leak or a structurally bigger engine blows
-  through both.
+  through both. Peak RSS depends on how the run was taken (the fault
+  figure reads ~28, ~58 or ~105 MB at one thread, four threads, or four
+  threads with the flight recorder sampled), so an rss row FAILs outright
+  when the two artifacts' ``scale`` blocks disagree on ``threads`` or
+  ``flight_recorder``: the baseline was taken unlike the run it gates.
 
 Every name that matches no family is printed as an ``[info]`` row, so a
 typo'd metric never silently skips enforcement. Other metrics present in
@@ -70,9 +76,22 @@ RSS_SLACK_MB = 32.0  # absolute peak-RSS slack for allocator/page-size drift
 DEFAULT_TOLERANCE = 0.25
 
 
-def load_values(path):
+# The `scale` fields an artifact's peak RSS depends on (see is_rss).
+RUN_MODE_FIELDS = ("threads", "flight_recorder")
+
+
+def load_doc(path):
     with open(path) as f:
-        doc = json.load(f)
+        return json.load(f)
+
+
+def run_modes(doc):
+    """The RUN_MODE_FIELDS of an artifact's `scale` block (None if absent)."""
+    scale = doc.get("scale") or {}
+    return {field: scale.get(field) for field in RUN_MODE_FIELDS}
+
+
+def load_values(doc, path):
     vals = {}
     for entry in doc.get("values", []):
         name, value = entry.get("name"), entry.get("value")
@@ -85,7 +104,7 @@ def load_values(path):
 
 def is_alloc(name):
     return name.endswith((".allocs_per_event", ".allocs_per_pkt",
-                          ".allocs_per_ack"))
+                          ".allocs_per_ack", ".allocs_per_build"))
 
 
 def is_throughput(name):
@@ -156,6 +175,21 @@ def check_one(name, b, c, tol, ratio_slack=RATIO_SLACK):
     return ("info", f"{c:.6g} (baseline {b:.6g}, no rule; informational)")
 
 
+def mode_mismatch(name, base_modes, cur_modes):
+    """FAIL detail for an rss row whose artifacts ran in different modes.
+
+    Returns None when the row is not an rss row or the modes agree.
+    """
+    if not is_rss(name) or base_modes == cur_modes:
+        return None
+
+    def shown(modes):
+        return ", ".join(f"{k}={modes[k]}" for k in RUN_MODE_FIELDS)
+
+    return (f"current run taken at {shown(cur_modes)} but the baseline at "
+            f"{shown(base_modes)}; retake the baseline the way it is checked")
+
+
 def missing_row(name, base, cur):
     """Status of a name present in only one of the two files.
 
@@ -176,8 +210,10 @@ def main(argv):
     ratio_slack = float(
         os.environ.get("BENCH_CHECK_RATIO_SLACK", RATIO_SLACK))
     try:
-        base = load_values(argv[1])
-        cur = load_values(argv[2])
+        base_doc = load_doc(argv[1])
+        cur_doc = load_doc(argv[2])
+        base = load_values(base_doc, argv[1])
+        cur = load_values(cur_doc, argv[2])
     except (OSError, ValueError, json.JSONDecodeError) as e:
         print(f"bench_check: {e}", file=sys.stderr)
         return 2
@@ -187,6 +223,9 @@ def main(argv):
     for name in sorted(set(base) | set(cur)):
         if name not in base or name not in cur:
             status, detail = missing_row(name, base, cur)
+        elif mismatch := mode_mismatch(name, run_modes(base_doc),
+                                       run_modes(cur_doc)):
+            status, detail = "FAIL", mismatch
         else:
             status, detail = check_one(name, base[name], cur[name], tol,
                                        ratio_slack)

@@ -24,6 +24,7 @@ class TestFamilyPredicates(unittest.TestCase):
         self.assertTrue(bc.is_alloc("fat_tree_ecmp.allocs_per_pkt"))
         self.assertTrue(bc.is_alloc("BM_EventQueue.allocs_per_event"))
         self.assertTrue(bc.is_alloc("BM_TcpSender_SackRecovery.allocs_per_ack"))
+        self.assertTrue(bc.is_alloc("BM_FatTreeBuild/8.allocs_per_build"))
         self.assertFalse(bc.is_alloc("fat_tree_ecmp.pkts_per_sec"))
 
     def test_throughput(self):
@@ -139,6 +140,46 @@ class TestCheckOne(unittest.TestCase):
                 contextlib.redirect_stderr(null):
             self.assertEqual(bc.main(["bench_check.py", base, whole]), 0)
             self.assertEqual(bc.main(["bench_check.py", base, short]), 1)
+
+    def test_allocs_per_build_limit(self):
+        n = "BM_FatTreeBuild/8.allocs_per_build"
+        self.assertEqual(self.status(n, 7333.0, 7333.0), "ok")
+        self.assertEqual(self.status(n, 7333.0, 7334.0), "FAIL")
+
+    def test_rss_row_fails_when_run_modes_differ(self):
+        ci = {"threads": 4, "flight_recorder": "sampled"}
+        serial = {"threads": 1, "flight_recorder": "sampled"}
+        recorder_off = {"threads": 4, "flight_recorder": "off"}
+        self.assertIsNone(bc.mode_mismatch("engine.rss_mb", ci, dict(ci)))
+        self.assertIn("threads=1",
+                      bc.mode_mismatch("engine.rss_mb", ci, serial))
+        self.assertIsNotNone(
+            bc.mode_mismatch("engine.rss_mb", ci, recorder_off))
+        # Only rss rows depend on the run modes.
+        self.assertIsNone(bc.mode_mismatch("x.recovery_ms", ci, serial))
+        # Artifacts that record no modes (the micro and scale benches) agree.
+        none = bc.run_modes({"scale": {"seeds": 1}})
+        self.assertIsNone(bc.mode_mismatch("scale_k8.rss_mb", none, dict(none)))
+        self.assertIsNotNone(bc.mode_mismatch("engine.rss_mb", none, ci))
+
+    def test_rss_mode_mismatch_fails_the_run(self):
+        def artifact(threads, recorder, rss):
+            f = tempfile.NamedTemporaryFile("w", suffix=".json", delete=False)
+            json.dump({"scale": {"threads": threads,
+                                 "flight_recorder": recorder},
+                       "values": [{"name": "engine.rss_mb", "value": rss}]},
+                      f)
+            f.close()
+            self.addCleanup(os.unlink, f.name)
+            return f.name
+        base = artifact(4, "sampled", 105.0)
+        same = artifact(4, "sampled", 104.0)
+        serial = artifact(1, "sampled", 28.0)  # under the ceiling, wrong mode
+        with open(os.devnull, "w") as null, \
+                contextlib.redirect_stdout(null), \
+                contextlib.redirect_stderr(null):
+            self.assertEqual(bc.main(["bench_check.py", base, same]), 0)
+            self.assertEqual(bc.main(["bench_check.py", base, serial]), 1)
 
     def test_unknown_name_is_info_not_silent(self):
         status, detail = bc.check_one("x.pool_allocated", 5.0, 9.0, self.TOL)

@@ -76,7 +76,7 @@ class Switch : public Node {
   /// ids — small and dense — so routes live in a flat vector indexed by
   /// destination instead of a hash map: the per-packet lookup is a bounds
   /// check plus one array index.
-  void set_route(IpAddr dst, std::vector<int> ports) {
+  void set_route(IpAddr dst, const std::vector<int>& ports) {
     if (dst >= routes_.size()) routes_.resize(dst + 1);
     routes_[dst].assign(ports);
   }

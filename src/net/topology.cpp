@@ -1,7 +1,7 @@
 #include "net/topology.hpp"
 
 #include <algorithm>
-#include <deque>
+#include <cstdint>
 #include <limits>
 
 #include "telemetry/scope.hpp"
@@ -61,55 +61,124 @@ void Topology::restore_connection(Link* a_to_b) {
   compute_routes();
 }
 
+NodeId Topology::stub_attachment(const Node* h) const {
+  NodeId at = kNoNode;
+  for (int p = 0; p < h->port_count(); ++p) {
+    const Link* out = h->port(p);
+    if (out->is_down()) continue;
+    if (at != kNoNode) return kNoNode;
+    at = out->dst()->id();
+  }
+  if (at == kNoNode) return kNoNode;
+  for (int p = 0; p < h->port_count(); ++p) {
+    const Link* out = h->port(p);
+    const Link* in = links_[out->id() ^ 1u].get();
+    if (!in->is_down() && out->dst()->id() != at) return kNoNode;
+  }
+  return at;
+}
+
 void Topology::compute_routes() {
   ++route_epoch_;
   if (auto* fr = telemetry::flight()) {
     fr->on_route_change();
   }
-  // Adjacency: for each node, its live egress links.
+  // Flat live adjacency: node v's port p leads to peer[first[v] + p], or to
+  // kNoNode while that link is down.
   const std::size_t n = nodes_.size();
-  std::vector<std::vector<Link*>> egress(n);
-  for (const auto& l : links_) {
-    if (l->is_down()) continue;
-    // Find the owner: the node that has this link as a port.
-    // connect() attaches links_[2i] to `a` and links_[2i+1] to `b`; the
-    // owner of link L is dst(reverse_of(L)).
-    Node* owner = links_[l->id() ^ 1u]->dst();
-    egress[owner->id()].push_back(l.get());
+  std::vector<std::uint32_t> first(n + 1, 0);
+  for (std::size_t v = 0; v < n; ++v) {
+    first[v + 1] = first[v] + static_cast<std::uint32_t>(nodes_[v]->port_count());
+  }
+  std::vector<NodeId> peer(first[n]);
+  for (std::size_t v = 0; v < n; ++v) {
+    const Node& node = *nodes_[v];
+    for (int p = 0; p < node.port_count(); ++p) {
+      const Link* l = node.port(p);
+      peer[first[v] + static_cast<std::uint32_t>(p)] =
+          l->is_down() ? kNoNode : l->dst()->id();
+    }
   }
 
   for (Switch* sw : switches_) sw->clear_routes();
 
-  // One reverse BFS per destination host: dist[v] = hops from v to dst.
+  // dist[v] = hops from the BFS source to v over live links. Routes follow
+  // a link to a node one hop closer to the source: the shortest path towards
+  // it while both directions of each connection are up or down together.
   constexpr int kInf = std::numeric_limits<int>::max();
   std::vector<int> dist(n);
-  for (Node* dst : hosts_) {
+  std::vector<NodeId> queue(n);
+  const auto bfs = [&](NodeId src) {
     std::fill(dist.begin(), dist.end(), kInf);
-    dist[dst->id()] = 0;
-    std::deque<NodeId> q{dst->id()};
-    // Reverse adjacency == forward adjacency here because all connections
-    // are bidirectional pairs with both directions live or both down.
-    while (!q.empty()) {
-      NodeId v = q.front();
-      q.pop_front();
-      for (Link* l : egress[v]) {
-        NodeId u = l->dst()->id();
-        if (dist[u] == kInf) {
+    dist[src] = 0;
+    std::size_t head = 0;
+    std::size_t tail = 0;
+    queue[tail++] = src;
+    while (head < tail) {
+      const NodeId v = queue[head++];
+      for (std::uint32_t i = first[v]; i < first[v + 1]; ++i) {
+        const NodeId u = peer[i];
+        if (u != kNoNode && dist[u] == kInf) {
           dist[u] = dist[v] + 1;
-          q.push_back(u);
+          queue[tail++] = u;
         }
       }
     }
-    for (Switch* sw : switches_) {
-      if (dist[sw->id()] == kInf || dist[sw->id()] == 0) continue;
-      std::vector<int> ports;
-      for (int p = 0; p < sw->port_count(); ++p) {
-        Link* l = sw->port(p);
-        if (l->is_down()) continue;
-        if (dist[l->dst()->id()] == dist[sw->id()] - 1) ports.push_back(p);
+  };
+  std::vector<int> ports;  // one buffer for every route installed
+  // Fill `ports` with the live ports of switch `s` one hop closer to the
+  // last BFS source; false when `s` is unreachable or is the source.
+  const auto next_hops = [&](NodeId s) {
+    ports.clear();
+    if (dist[s] == kInf || dist[s] == 0) return false;
+    for (std::uint32_t i = first[s]; i < first[s + 1]; ++i) {
+      if (peer[i] != kNoNode && dist[peer[i]] == dist[s] - 1) {
+        ports.push_back(static_cast<int>(i - first[s]));
       }
-      if (!ports.empty()) sw->set_route(dst->ip(), std::move(ports));
     }
+    return !ports.empty();
+  };
+
+  // A stub host (stub_attachment) is one hop past its attachment node on
+  // every path, so one BFS from that node routes all of its stubs. Only at
+  // the attachment node itself does a stub's route differ: the ports
+  // leading straight to it.
+  std::vector<std::pair<NodeId, NodeId>> stubs;  // (attachment, host)
+  for (const Node* h : hosts_) {
+    const NodeId at = stub_attachment(h);
+    if (at != kNoNode) {
+      stubs.emplace_back(at, h->id());
+      continue;
+    }
+    bfs(h->id());
+    for (Switch* sw : switches_) {
+      if (next_hops(sw->id())) sw->set_route(h->ip(), ports);
+    }
+  }
+  std::sort(stubs.begin(), stubs.end());
+  for (std::size_t g = 0; g < stubs.size();) {
+    const NodeId at = stubs[g].first;
+    std::size_t end = g;
+    while (end < stubs.size() && stubs[end].first == at) ++end;
+    bfs(at);
+    for (Switch* sw : switches_) {
+      const NodeId s = sw->id();
+      if (s == at) {
+        for (std::size_t i = g; i < end; ++i) {
+          const NodeId h = stubs[i].second;
+          ports.clear();
+          for (std::uint32_t j = first[s]; j < first[s + 1]; ++j) {
+            if (peer[j] == h) ports.push_back(static_cast<int>(j - first[s]));
+          }
+          if (!ports.empty()) sw->set_route(h, ports);
+        }
+      } else if (next_hops(s)) {
+        for (std::size_t i = g; i < end; ++i) {
+          sw->set_route(stubs[i].second, ports);
+        }
+      }
+    }
+    g = end;
   }
 }
 

@@ -1,6 +1,7 @@
 #pragma once
 
 #include <functional>
+#include <limits>
 #include <memory>
 #include <string>
 #include <utility>
@@ -46,8 +47,8 @@ class Topology {
   void restore_connection(Link* a_to_b);
 
   /// Compute shortest-path ECMP routes from every switch to every host and
-  /// install them. Called automatically by connect-time helpers? No —
-  /// call once after building and after any manual link state change.
+  /// install them. Call once after building and after any manual link state
+  /// change (fail_connection / restore_connection call it themselves).
   void compute_routes();
 
   [[nodiscard]] sim::Simulator& simulator() { return sim_; }
@@ -66,7 +67,13 @@ class Topology {
   [[nodiscard]] int route_epoch() const { return route_epoch_; }
 
  private:
+  static constexpr NodeId kNoNode = std::numeric_limits<NodeId>::max();
+
   NodeId next_id() { return static_cast<NodeId>(nodes_.size()); }
+  /// The node a "stub" host hangs off: its one live egress link leads
+  /// there and every live link into it comes from there. kNoNode for any
+  /// other host (dual-homed, or with no live link).
+  [[nodiscard]] NodeId stub_attachment(const Node* h) const;
 
   sim::Simulator& sim_;
   std::vector<std::unique_ptr<Node>> nodes_;

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <functional>
+#include <tuple>
 
 namespace clove::telemetry {
 
@@ -74,99 +76,149 @@ void Histogram::reset() {
 // ---------------------------------------------------------------------------
 
 namespace {
-std::string cell_key(MetricKind kind, const std::string& name,
-                     const Labels& labels) {
-  std::string key;
-  switch (kind) {
-    case MetricKind::kCounter: key = "c:"; break;
-    case MetricKind::kGauge: key = "g:"; break;
-    case MetricKind::kHistogram: key = "h:"; break;
-  }
-  key += name;
-  Labels sorted = labels;
-  std::sort(sorted.begin(), sorted.end());
-  key += '{';
-  for (const auto& [k, v] : sorted) {
-    key += k;
-    key += '=';
-    key += v;
-    key += ',';
-  }
-  key += '}';
-  return key;
+
+std::uint64_t hash_of(const std::string& s) {
+  return std::hash<std::string>{}(s);
 }
+
+std::uint64_t hash_of(const Labels& labels) {
+  std::uint64_t h = 0x9e3779b97f4a7c15ULL;
+  for (const auto& [k, v] : labels) {
+    h = (h ^ hash_of(k)) * 0x100000001b3ULL;
+    h = (h ^ hash_of(v)) * 0x100000001b3ULL;
+  }
+  return h;
+}
+
 }  // namespace
 
-MetricsRegistry::Entry* MetricsRegistry::get_or_create(MetricKind kind,
-                                                       const std::string& name,
-                                                       const Labels& labels) {
-  const std::string key = cell_key(kind, name, labels);
-  auto it = entries_.find(key);
-  if (it == entries_.end()) {
-    auto entry = std::make_unique<Entry>();
-    entry->name = name;
-    entry->labels = labels;
-    std::sort(entry->labels.begin(), entry->labels.end());
-    entry->kind = kind;
-    it = entries_.emplace(key, std::move(entry)).first;
+template <typename T>
+std::uint32_t MetricsRegistry::Interner<T>::intern(const T& v,
+                                                   std::uint64_t hash) {
+  std::uint32_t& head = head_[hash];
+  for (std::uint32_t i = head; i != 0; i = next_[i - 1]) {
+    if (values_[i - 1] == v) return i - 1;
   }
-  return it->second.get();
+  values_.push_back(v);
+  next_.push_back(head);
+  head = static_cast<std::uint32_t>(values_.size());
+  return head - 1;
+}
+
+template <typename T>
+std::vector<std::uint32_t> MetricsRegistry::Interner<T>::ranks() const {
+  std::vector<std::uint32_t> order(values_.size());
+  for (std::uint32_t i = 0; i < order.size(); ++i) order[i] = i;
+  std::sort(order.begin(), order.end(), [this](std::uint32_t a,
+                                               std::uint32_t b) {
+    return values_[a] < values_[b];
+  });
+  std::vector<std::uint32_t> rank(values_.size());
+  for (std::uint32_t r = 0; r < order.size(); ++r) rank[order[r]] = r;
+  return rank;
+}
+
+template <typename Cell>
+Cell* MetricsRegistry::Store<Cell>::add() {
+  if (size_ % kChunk == 0) chunks_.push_back(std::make_unique<Cell[]>(kChunk));
+  return &at(size_++);
+}
+
+template <typename Cell>
+Cell* MetricsRegistry::get_or_create(MetricKind kind, Store<Cell>& store,
+                                     const std::string& name,
+                                     const Labels& labels) {
+  std::uint32_t label_id = 0;
+  if (std::is_sorted(labels.begin(), labels.end())) {
+    label_id = label_sets_.intern(labels, hash_of(labels));
+  } else {
+    Labels sorted = labels;
+    std::sort(sorted.begin(), sorted.end());
+    label_id = label_sets_.intern(sorted, hash_of(sorted));
+  }
+  const std::uint32_t name_id = names_.intern(name, hash_of(name));
+  if (label_id == newest_.size()) newest_.push_back(0);
+  for (std::uint32_t r = newest_[label_id]; r != 0; r = refs_[r - 1].next) {
+    const CellRef& c = refs_[r - 1];
+    if (c.name == name_id && c.kind == kind) return &store.at(c.index);
+  }
+  refs_.push_back(CellRef{name_id, label_id,
+                          static_cast<std::uint32_t>(store.size()),
+                          newest_[label_id], kind});
+  newest_[label_id] = static_cast<std::uint32_t>(refs_.size());
+  return store.add();
 }
 
 Counter* MetricsRegistry::counter(const std::string& name,
                                   const Labels& labels) {
-  return &get_or_create(MetricKind::kCounter, name, labels)->counter;
+  return get_or_create(MetricKind::kCounter, counters_, name, labels);
 }
 
 Gauge* MetricsRegistry::gauge(const std::string& name, const Labels& labels) {
-  return &get_or_create(MetricKind::kGauge, name, labels)->gauge;
+  return get_or_create(MetricKind::kGauge, gauges_, name, labels);
 }
 
 Histogram* MetricsRegistry::histogram(const std::string& name,
                                       const Labels& labels) {
-  return &get_or_create(MetricKind::kHistogram, name, labels)->histogram;
+  return get_or_create(MetricKind::kHistogram, histograms_, name, labels);
 }
 
 void MetricsRegistry::reset_values() {
-  for (auto& [key, e] : entries_) {
-    e->counter.reset();
-    e->gauge.reset();
-    e->histogram.reset();
+  for (std::size_t i = 0; i < counters_.size(); ++i) counters_.at(i).reset();
+  for (std::size_t i = 0; i < gauges_.size(); ++i) gauges_.at(i).reset();
+  for (std::size_t i = 0; i < histograms_.size(); ++i) {
+    histograms_.at(i).reset();
   }
 }
 
 MetricsSnapshot MetricsRegistry::snapshot() const {
+  // Order the cells by interned ranks, then export in that order.
+  struct Ref {
+    std::uint32_t name_rank;
+    std::uint32_t label_rank;
+    const CellRef* cell;
+  };
+  const std::vector<std::uint32_t> name_rank = names_.ranks();
+  const std::vector<std::uint32_t> label_rank = label_sets_.ranks();
+  std::vector<Ref> refs;
+  refs.reserve(refs_.size());
+  for (const CellRef& c : refs_) {
+    refs.push_back(Ref{name_rank[c.name], label_rank[c.labels], &c});
+  }
+  std::sort(refs.begin(), refs.end(), [](const Ref& a, const Ref& b) {
+    return std::tie(a.name_rank, a.label_rank, a.cell->kind) <
+           std::tie(b.name_rank, b.label_rank, b.cell->kind);
+  });
+
   MetricsSnapshot snap;
-  snap.samples.reserve(entries_.size());
-  for (const auto& [key, e] : entries_) {
+  snap.samples.reserve(refs.size());
+  for (const Ref& r : refs) {
+    const CellRef& c = *r.cell;
     MetricSample s;
-    s.name = e->name;
-    s.labels = e->labels;
-    s.kind = e->kind;
-    switch (e->kind) {
+    s.name = names_[c.name];
+    s.labels = label_sets_[c.labels];
+    s.kind = c.kind;
+    switch (c.kind) {
       case MetricKind::kCounter:
-        s.value = static_cast<double>(e->counter.value());
+        s.value = static_cast<double>(counters_.at(c.index).value());
         break;
       case MetricKind::kGauge:
-        s.value = e->gauge.value();
+        s.value = gauges_.at(c.index).value();
         break;
-      case MetricKind::kHistogram:
-        s.count = e->histogram.count();
-        s.sum = e->histogram.sum();
-        s.min = e->histogram.min();
-        s.max = e->histogram.max();
-        s.p50 = e->histogram.percentile(50);
-        s.p99 = e->histogram.percentile(99);
-        s.value = e->histogram.mean();
+      case MetricKind::kHistogram: {
+        const Histogram& h = histograms_.at(c.index);
+        s.count = h.count();
+        s.sum = h.sum();
+        s.min = h.min();
+        s.max = h.max();
+        s.p50 = h.percentile(50);
+        s.p99 = h.percentile(99);
+        s.value = h.mean();
         break;
+      }
     }
     snap.samples.push_back(std::move(s));
   }
-  std::sort(snap.samples.begin(), snap.samples.end(),
-            [](const MetricSample& a, const MetricSample& b) {
-              if (a.name != b.name) return a.name < b.name;
-              return a.labels < b.labels;
-            });
   return snap;
 }
 

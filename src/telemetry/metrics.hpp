@@ -4,11 +4,11 @@
 #include <map>
 #include <memory>
 #include <string>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
 #include "telemetry/json.hpp"
+#include "util/flat_map.hpp"
 
 namespace clove::telemetry {
 
@@ -95,8 +95,8 @@ struct MetricSample {
   double p99{0.0};
 };
 
-/// Point-in-time export of every registered metric, sorted by (name, labels)
-/// for deterministic artifacts.
+/// Point-in-time export of every registered metric, sorted by (name, labels,
+/// kind) for deterministic artifacts.
 struct MetricsSnapshot {
   std::vector<MetricSample> samples;
 
@@ -113,6 +113,13 @@ struct MetricsSnapshot {
 /// snapshot/export API. Lookups happen at component construction; the hot
 /// path touches only the returned cell. Values survive reset_values() as
 /// zeroed cells, so resolved pointers never dangle across runs.
+///
+/// A fabric registers thousands of cells (one set per link, switch and
+/// host), so registration is built to cost no per-cell allocation. Metric
+/// names and canonical label sets are interned once each: every cell of one
+/// component refers to the same label set by id. Cells live per kind in
+/// fixed-size chunks, so an address once handed out never moves. A cell is
+/// found by (kind, name id) among the cells of its label set.
 class MetricsRegistry {
  public:
   Counter* counter(const std::string& name, const Labels& labels = {});
@@ -121,22 +128,71 @@ class MetricsRegistry {
 
   /// Zero every cell (start of a run). Cells remain registered.
   void reset_values();
-  [[nodiscard]] std::size_t size() const { return entries_.size(); }
+  [[nodiscard]] std::size_t size() const { return refs_.size(); }
+  /// Distinct canonical label sets among the registered cells.
+  [[nodiscard]] std::size_t label_set_count() const {
+    return label_sets_.size();
+  }
+  /// Every cell, sorted by (name, labels, kind).
   [[nodiscard]] MetricsSnapshot snapshot() const;
 
  private:
-  struct Entry {
-    std::string name;
-    Labels labels;
-    MetricKind kind;
-    Counter counter;
-    Gauge gauge;
-    Histogram histogram;
-  };
-  Entry* get_or_create(MetricKind kind, const std::string& name,
-                       const Labels& labels);
+  /// Distinct values of T by dense id, found by hash with collision chains.
+  template <typename T>
+  class Interner {
+   public:
+    std::uint32_t intern(const T& v, std::uint64_t hash);
+    [[nodiscard]] const T& operator[](std::uint32_t id) const {
+      return values_[id];
+    }
+    [[nodiscard]] std::size_t size() const { return values_.size(); }
+    /// rank[id] = position of value `id` in sorted order.
+    [[nodiscard]] std::vector<std::uint32_t> ranks() const;
 
-  std::unordered_map<std::string, std::unique_ptr<Entry>> entries_;
+   private:
+    std::vector<T> values_;
+    util::FlatMap<std::uint64_t, std::uint32_t> head_;  ///< hash -> 1 + id
+    std::vector<std::uint32_t> next_;  ///< id -> 1 + older id, same hash
+  };
+
+  /// Cells of one kind in chunks of ~4 KiB that never move.
+  template <typename Cell>
+  class Store {
+   public:
+    static constexpr std::size_t kChunk = 4096 / sizeof(Cell);
+
+    Cell* add();
+    [[nodiscard]] Cell& at(std::size_t i) const {
+      return chunks_[i / kChunk][i % kChunk];
+    }
+    [[nodiscard]] std::size_t size() const { return size_; }
+
+   private:
+    std::vector<std::unique_ptr<Cell[]>> chunks_;
+    std::size_t size_{0};
+  };
+
+  /// One registered cell. The cells of one label set form a chain, newest
+  /// first, so a lookup scans only the few cells of one component.
+  struct CellRef {
+    std::uint32_t name;
+    std::uint32_t labels;
+    std::uint32_t index;  ///< in the Store of its kind
+    std::uint32_t next;   ///< 1 + the previous cell of this label set; 0 = none
+    MetricKind kind;
+  };
+
+  template <typename Cell>
+  Cell* get_or_create(MetricKind kind, Store<Cell>& store,
+                      const std::string& name, const Labels& labels);
+
+  Interner<std::string> names_;
+  Interner<Labels> label_sets_;
+  std::vector<std::uint32_t> newest_;  ///< label-set id -> 1 + newest cell
+  std::vector<CellRef> refs_;          ///< every cell, in registration order
+  Store<Counter> counters_;
+  Store<Gauge> gauges_;
+  Store<Histogram> histograms_;
 };
 
 }  // namespace clove::telemetry

@@ -1,8 +1,17 @@
 // Tests for topology construction, shortest-path ECMP routing and failure
-// handling on the paper's leaf-spine fabric.
+// handling on the paper's leaf-spine fabric, and a per-host BFS oracle for
+// the routes compute_routes() installs on fat-trees and leaf-spines under
+// random link faults.
 
 #include <gtest/gtest.h>
 
+#include <deque>
+#include <limits>
+#include <random>
+#include <string>
+#include <vector>
+
+#include "net/fat_tree.hpp"
 #include "net/topology.hpp"
 #include "sim/simulator.hpp"
 #include "test_util.hpp"
@@ -195,6 +204,185 @@ TEST(Failure, WholeSpineDisconnection) {
   for (int p : *route) {
     EXPECT_EQ(net.leaves[0]->port(p)->dst(), net.spines[0]);
   }
+}
+
+// --- route oracle ----------------------------------------------------------
+
+/// The reference routing: one BFS per destination host along live links,
+/// and at each switch every live port leading one hop closer to that host.
+/// Returns the first switch/host pair whose installed route (size and port
+/// order) differs from it, or "" when every route matches.
+std::string route_mismatch(const Topology& topo) {
+  const std::size_t n = topo.hosts().size() + topo.switches().size();
+  constexpr int kInf = std::numeric_limits<int>::max();
+  for (const Node* dst : topo.hosts()) {
+    std::vector<int> dist(n, kInf);
+    dist[dst->id()] = 0;
+    std::deque<NodeId> q{dst->id()};
+    while (!q.empty()) {
+      const Node* v = topo.node_by_ip(q.front());
+      q.pop_front();
+      for (int p = 0; p < v->port_count(); ++p) {
+        const Link* l = v->port(p);
+        if (l->is_down() || dist[l->dst()->id()] != kInf) continue;
+        dist[l->dst()->id()] = dist[v->id()] + 1;
+        q.push_back(l->dst()->id());
+      }
+    }
+    for (const Switch* sw : topo.switches()) {
+      std::vector<int> want;
+      const int d = dist[sw->id()];
+      for (int p = 0; d != kInf && d != 0 && p < sw->port_count(); ++p) {
+        const Link* l = sw->port(p);
+        if (!l->is_down() && dist[l->dst()->id()] == d - 1) want.push_back(p);
+      }
+      const PortSet* route = sw->route(dst->ip());
+      std::vector<int> got;
+      if (route != nullptr) got.assign(route->begin(), route->end());
+      if (got != want) {
+        std::string msg = sw->name();
+        msg += " -> ";
+        msg += dst->name();
+        msg += ": got";
+        for (int p : got) (msg += ' ') += std::to_string(p);
+        msg += ", want";
+        for (int p : want) (msg += ' ') += std::to_string(p);
+        return msg;
+      }
+    }
+  }
+  return "";
+}
+
+/// Random link events over every connection, checking the routes against
+/// the oracle after each: whole connections failing and returning, and
+/// single directions going down and up.
+void fuzz_against_oracle(Topology& topo, std::uint32_t seed, int steps) {
+  ASSERT_EQ(route_mismatch(topo), "") << "after build";
+  std::mt19937 rng(seed);
+  const auto n_links = static_cast<std::uint32_t>(topo.links().size());
+  for (int step = 0; step < steps; ++step) {
+    Link* l = topo.links()[rng() % n_links].get();
+    switch (rng() % 4) {
+      case 0: topo.fail_connection(l); break;
+      case 1: topo.restore_connection(l); break;
+      case 2:
+        l->down();
+        topo.compute_routes();
+        break;
+      default:
+        l->up();
+        topo.compute_routes();
+        break;
+    }
+    ASSERT_EQ(route_mismatch(topo), "")
+        << "seed " << seed << ", step " << step << ", link " << l->name();
+  }
+}
+
+FatTree build_fat_tree_sinks(Topology& topo, int k) {
+  FatTreeConfig cfg;
+  cfg.k = k;
+  return build_fat_tree(topo, cfg,
+                        [](Topology& t, const std::string& name, int) -> Node* {
+                          return t.add_host<SinkNode>(name);
+                        });
+}
+
+TEST(RouteOracle, FatTreeK4UnderRandomFaults) {
+  for (std::uint32_t seed = 1; seed <= 4; ++seed) {
+    sim::Simulator sim;
+    Topology topo(sim);
+    build_fat_tree_sinks(topo, 4);
+    fuzz_against_oracle(topo, seed, 60);
+  }
+}
+
+TEST(RouteOracle, FatTreeK8UnderRandomFaults) {
+  sim::Simulator sim;
+  Topology topo(sim);
+  build_fat_tree_sinks(topo, 8);
+  fuzz_against_oracle(topo, 7, 40);
+}
+
+TEST(RouteOracle, SymmetricTestbedUnderRandomFaults) {
+  sim::Simulator sim;
+  Topology topo(sim);
+  build_test_fabric(topo, 16);
+  fuzz_against_oracle(topo, 11, 60);
+}
+
+TEST(RouteOracle, AsymmetricTestbedUnderRandomFaults) {
+  sim::Simulator sim;
+  Topology topo(sim);
+  LeafSpine net = build_test_fabric(topo, 16);
+  topo.fail_connection(net.fabric_links[1][1][0]);  // the paper's S2-L2
+  fuzz_against_oracle(topo, 13, 60);
+}
+
+TEST(RouteOracle, HostsOnlyLinkDownAndBack) {
+  sim::Simulator sim;
+  Topology topo(sim);
+  LeafSpine net = build_test_fabric(topo);
+  Node* h = net.hosts_by_leaf[1][0];
+  topo.fail_connection(h->port(0));
+  EXPECT_EQ(route_mismatch(topo), "");
+  EXPECT_EQ(net.leaves[0]->route(h->ip()), nullptr);  // unreachable
+  topo.restore_connection(h->port(0));
+  EXPECT_EQ(route_mismatch(topo), "");
+  EXPECT_NE(net.leaves[0]->route(h->ip()), nullptr);
+}
+
+TEST(RouteOracle, OneDirectionOfALinkDown) {
+  sim::Simulator sim;
+  Topology topo(sim);
+  LeafSpine net = build_test_fabric(topo);
+  // A host's uplink only, then its downlink only, then one fabric direction.
+  Link* up = net.hosts_by_leaf[0][1]->port(0);
+  up->down();
+  topo.compute_routes();
+  EXPECT_EQ(route_mismatch(topo), "");
+  up->up();
+  topo.reverse_of(up)->down();
+  topo.compute_routes();
+  EXPECT_EQ(route_mismatch(topo), "");
+  topo.reverse_of(up)->up();
+  topo.reverse_of(net.fabric_links[0][1][1])->down();
+  topo.compute_routes();
+  EXPECT_EQ(route_mismatch(topo), "");
+}
+
+TEST(RouteOracle, DualHomedHost) {
+  // A host wired to both leaves is not one hop past a single leaf: its
+  // routes need their own BFS, also once one of its links loses a
+  // direction and only the other direction still carries traffic to it.
+  sim::Simulator sim;
+  Topology topo(sim);
+  LeafSpine net = build_test_fabric(topo);
+  auto* dual = topo.add_host<SinkNode>("dual");
+  LinkConfig access;
+  auto [to_l1, from_l1] = topo.connect(dual, net.leaves[0], access);
+  auto [to_l2, from_l2] = topo.connect(dual, net.leaves[1], access);
+  (void)from_l1;
+  topo.compute_routes();
+  EXPECT_EQ(route_mismatch(topo), "");
+  ASSERT_NE(net.leaves[1]->route(dual->ip()), nullptr);
+  EXPECT_EQ(net.leaves[1]->route(dual->ip())->size(), 1u);
+  to_l2->down();  // dual -> L2 only; L2 -> dual still live
+  topo.compute_routes();
+  EXPECT_EQ(route_mismatch(topo), "");
+  to_l2->up();
+  from_l2->down();  // L2 -> dual only
+  topo.compute_routes();
+  EXPECT_EQ(route_mismatch(topo), "");
+  from_l2->up();
+  topo.fail_connection(to_l1);  // now single-homed on L2
+  EXPECT_EQ(route_mismatch(topo), "");
+  // Two parallel links to one leaf: two live egress links.
+  topo.connect(dual, net.leaves[1], access);
+  topo.compute_routes();
+  EXPECT_EQ(route_mismatch(topo), "");
+  EXPECT_EQ(net.leaves[1]->route(dual->ip())->size(), 2u);
 }
 
 }  // namespace
