@@ -12,6 +12,8 @@
 
 #include <benchmark/benchmark.h>
 #include <sys/resource.h>
+#include <sys/wait.h>
+#include <unistd.h>
 
 #include <array>
 #include <atomic>
@@ -550,10 +552,11 @@ BENCHMARK(BM_TcpSender_SackRecovery);
 // repo benchmark's fat-tree workload builds it: nodes and links, their
 // metric cells registered in a fresh telemetry scope (telemetry off, as in
 // an untraced run, so every cell is new), and the initial route
-// computation. Reports per build: wall ns, heap allocations and minor page
-// faults; and ns per route recompute, which every link event triggers.
-// Only allocs_per_build is a committed row; the times and faults are
-// informational.
+// computation. Reports per build: wall ns, heap allocations, route-table
+// bytes, and the minor page faults of one build in a fresh child process;
+// and ns per route recompute, which every link event triggers. The
+// allocs_per_build and route_bytes rows are committed; the times and
+// faults are informational.
 
 struct FatTreeRig {
   telemetry::Scope scope{telemetry::ScopeSettings{}};
@@ -582,12 +585,49 @@ long minor_faults() {
   return ru.ru_minflt;
 }
 
+/// Minor page faults of one k-ary build in a forked child, or -1. A warm
+/// loop cannot price first touches: after one build frees its memory, the
+/// next build's faults count whichever pages glibc happened to trim. In a
+/// child every page the build writes faults once, first touch or
+/// copy-on-write, as it does in a process that builds one fabric.
+long fresh_build_faults(int k) {
+  int fds[2];
+  if (pipe(fds) != 0) return -1;
+  const pid_t pid = fork();
+  if (pid == 0) {
+    close(fds[0]);
+    const long f0 = minor_faults();
+    {
+      FatTreeRig rig(k);
+      benchmark::DoNotOptimize(rig.topo.route_epoch());
+    }
+    const long faults = minor_faults() - f0;
+    const bool sent = write(fds[1], &faults, sizeof faults) == sizeof faults;
+    _exit(sent ? 0 : 1);
+  }
+  close(fds[1]);
+  long faults = -1;
+  if (pid < 0 || read(fds[0], &faults, sizeof faults) != sizeof faults) {
+    faults = -1;
+  }
+  close(fds[0]);
+  if (pid > 0) waitpid(pid, nullptr, 0);
+  return faults;
+}
+
+std::size_t route_bytes(const net::Topology& topo) {
+  std::size_t bytes = 0;
+  for (const net::Switch* sw : topo.switches()) {
+    bytes += sw->route_table_bytes();
+  }
+  return bytes;
+}
+
 void BM_FatTreeBuild(benchmark::State& state) {
   using Clock = std::chrono::steady_clock;
   const int k = static_cast<int>(state.range(0));
   FatTreeRig(k).topo.compute_routes();  // warm lazily-built process state
   const std::uint64_t a0 = alloc_count();
-  const long f0 = minor_faults();
   Clock::duration built{};
   for (auto _ : state) {
     const Clock::time_point t0 = Clock::now();
@@ -599,15 +639,17 @@ void BM_FatTreeBuild(benchmark::State& state) {
     state.ResumeTiming();
   }
   const std::uint64_t allocs = alloc_count() - a0;
-  const long faults = minor_faults() - f0;
   const auto builds = static_cast<double>(state.iterations());
   state.counters["ns_per_build"] =
       std::chrono::duration<double, std::nano>(built).count() / builds;
   state.counters["allocs_per_build"] =
       static_cast<double>(allocs) / builds;
-  state.counters["faults_per_build"] = static_cast<double>(faults) / builds;
+  state.counters["faults_per_build"] =
+      static_cast<double>(fresh_build_faults(k));
 
   FatTreeRig rig(k);
+  state.counters["route_bytes"] =
+      static_cast<double>(route_bytes(rig.topo));
   constexpr int kRecomputes = 8;
   const Clock::time_point t0 = Clock::now();
   for (int i = 0; i < kRecomputes; ++i) rig.topo.compute_routes();

@@ -16,6 +16,10 @@ carries (stdlib only — this runs in CI before anything is installed):
   A per-build count (a fabric build after a warm-up build) is exact, so it
   gets the same near-exact limit.
 
+* Size ceilings (``*.route_bytes``, the heap a built fabric's route tables
+  hold): a pure function of the table layout and the topology, the same on
+  every machine, so the current value must not exceed the baseline at all.
+
 * Throughput (``*_per_sec`` — pkts_per_sec, events_per_sec, …) and latency
   (``*.ns_per_*``): fail on a regression beyond TOLERANCE (default 25%,
   override with ``BENCH_CHECK_TOLERANCE=0.40`` etc. for noisy runners).
@@ -107,6 +111,10 @@ def is_alloc(name):
                           ".allocs_per_ack", ".allocs_per_build"))
 
 
+def is_size(name):
+    return name.endswith(".route_bytes")
+
+
 def is_throughput(name):
     return name.endswith("_per_sec")
 
@@ -139,6 +147,9 @@ def check_one(name, b, c, tol, ratio_slack=RATIO_SLACK):
         limit = b + ALLOC_SLACK
         return ("FAIL" if c > limit else "ok",
                 f"{c:.6g} (baseline {b:.6g}, limit {limit:.6g})")
+    if is_size(name):
+        return ("FAIL" if c > b else "ok",
+                f"{c:.6g} (baseline {b:.6g}, ceiling {b:.6g})")
     if is_ratio(name):
         # Parity guards sit near 1.0 and get the tight absolute band.
         # Magnitude ratios (e.g. the hybrid engine's ~50x wall-clock

@@ -27,6 +27,11 @@ class TestFamilyPredicates(unittest.TestCase):
         self.assertTrue(bc.is_alloc("BM_FatTreeBuild/8.allocs_per_build"))
         self.assertFalse(bc.is_alloc("fat_tree_ecmp.pkts_per_sec"))
 
+    def test_size(self):
+        self.assertTrue(bc.is_size("BM_FatTreeBuild/16.route_bytes"))
+        self.assertFalse(bc.is_size("BM_FatTreeBuild/16.route_bytes_per_sec"))
+        self.assertFalse(bc.is_size("BM_FatTreeBuild/16.faults_per_build"))
+
     def test_throughput(self):
         self.assertTrue(bc.is_throughput("fat_tree_ecmp.pkts_per_sec"))
         self.assertTrue(bc.is_throughput("scale_k8.events_per_sec"))
@@ -145,6 +150,13 @@ class TestCheckOne(unittest.TestCase):
         n = "BM_FatTreeBuild/8.allocs_per_build"
         self.assertEqual(self.status(n, 7333.0, 7333.0), "ok")
         self.assertEqual(self.status(n, 7333.0, 7334.0), "FAIL")
+
+    def test_route_bytes_ceiling(self):
+        n = "BM_FatTreeBuild/16.route_bytes"
+        self.assertEqual(self.status(n, 3788800.0, 3788800.0), "ok")
+        self.assertEqual(self.status(n, 3788800.0, 1000000.0), "ok")
+        # An exact size gets no tolerance: one byte over fails.
+        self.assertEqual(self.status(n, 3788800.0, 3788801.0), "FAIL")
 
     def test_rss_row_fails_when_run_modes_differ(self):
         ci = {"threads": 4, "flight_recorder": "sampled"}

@@ -14,6 +14,40 @@ Switch::Switch(sim::Simulator& sim, NodeId id, std::string name)
   cells_.ttl_drops = reg.counter("switch.ttl_drops", labels);
 }
 
+void Switch::reset_routes(std::size_t n_dst) {
+  routes_.assign(n_dst, nullptr);
+  pool_.clear();
+  last_interned_ = nullptr;
+}
+
+const PortSet* Switch::intern(const std::vector<int>& ports) {
+  for (const PortSet& set : pool_) {
+    if (set.equals(ports)) return &set;
+  }
+  if (pool_.size() == pool_.capacity()) {
+    // Grow by hand, so the routes into the old slots can be rebased while
+    // those slots are still alive. The first growth sizes the pool for one
+    // set per port plus one, which a fat-tree switch never exceeds.
+    std::vector<PortSet> grown;
+    grown.reserve(std::max(2 * pool_.size(),
+                           static_cast<std::size_t>(port_count()) + 1));
+    for (PortSet& set : pool_) grown.push_back(std::move(set));
+    for (const PortSet*& r : routes_) {
+      if (r != nullptr) r = grown.data() + (r - pool_.data());
+    }
+    pool_ = std::move(grown);
+  }
+  pool_.emplace_back(ports);
+  return &pool_.back();
+}
+
+std::size_t Switch::route_table_bytes() const {
+  std::size_t bytes = routes_.capacity() * sizeof(routes_[0]) +
+                      pool_.capacity() * sizeof(PortSet);
+  for (const PortSet& set : pool_) bytes += set.spill_bytes();
+  return bytes;
+}
+
 void Switch::receive(PacketPtr pkt, int in_port) {
   CLOVE_PROF_SCOPE(prof::kSwitchForward);
   // TTL processing, as a router would: decrement, and on expiry either

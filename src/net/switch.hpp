@@ -1,5 +1,6 @@
 #pragma once
 
+#include <algorithm>
 #include <array>
 #include <cstdint>
 #include <vector>
@@ -19,40 +20,39 @@ struct SwitchStats {
   std::uint64_t probe_replies{0};
 };
 
-/// One dense route-table entry: the ECMP next-hop port set for a
-/// destination. Ports are stored inline (a switch radix in the simulated
-/// fat-trees is small) with a heap spill only for port sets wider than
-/// kInline, so the per-packet route lookup touches exactly one cache line
-/// of the dense table and no pointer chases.
+/// One ECMP next-hop port set in a switch's route pool. Ports are stored
+/// inline (a switch radix in the simulated fat-trees is small) with a heap
+/// spill only for port sets wider than kInline, so reading a route touches
+/// one 64-byte pool slot and no further pointer.
 class PortSet {
  public:
   static constexpr std::size_t kInline = 8;
 
+  explicit PortSet(const std::vector<int>& ports) : size_(ports.size()) {
+    if (size_ > kInline) {
+      spill_ = ports;
+    } else {
+      std::copy(ports.begin(), ports.end(), inline_.begin());
+    }
+  }
+
   [[nodiscard]] std::size_t size() const { return size_; }
-  [[nodiscard]] bool empty() const { return size_ == 0; }
   [[nodiscard]] const int* data() const {
     return spill_.empty() ? inline_.data() : spill_.data();
   }
   [[nodiscard]] int operator[](std::size_t i) const { return data()[i]; }
   [[nodiscard]] const int* begin() const { return data(); }
   [[nodiscard]] const int* end() const { return data() + size_; }
-
-  void assign(const std::vector<int>& ports) {
-    clear();
-    if (ports.size() > kInline) {
-      spill_ = ports;
-    } else {
-      for (std::size_t i = 0; i < ports.size(); ++i) inline_[i] = ports[i];
-    }
-    size_ = ports.size();
+  [[nodiscard]] bool equals(const std::vector<int>& ports) const {
+    return ports.size() == size_ && std::equal(begin(), end(), ports.begin());
   }
-  void clear() {
-    size_ = 0;
-    spill_.clear();  // keeps capacity: recomputing routes stays allocation-light
+
+  [[nodiscard]] std::size_t spill_bytes() const {
+    return spill_.capacity() * sizeof(int);
   }
 
  private:
-  std::size_t size_{0};
+  std::size_t size_;
   std::array<int, kInline> inline_{};
   std::vector<int> spill_;
 };
@@ -72,22 +72,36 @@ class Switch : public Node {
 
   void receive(PacketPtr pkt, int in_port) override;
 
-  /// Replace the ECMP port set for a destination IP. IP addresses are node
-  /// ids — small and dense — so routes live in a flat vector indexed by
-  /// destination instead of a hash map: the per-packet lookup is a bounds
-  /// check plus one array index.
+  /// Drop every route and size the table for destinations [0, n_dst).
+  /// IP addresses are node ids (small and dense), so the table is a flat
+  /// vector indexed by destination: one pointer per destination into a
+  /// pool of this switch's distinct port sets. A fat-tree switch holds at
+  /// most k + 1 distinct sets, so the pool stays in L1 and the per-packet
+  /// lookup is one indexed load plus the port-set read.
+  void reset_routes(std::size_t n_dst);
+
+  /// Install the ECMP port set for a destination IP; an empty set removes
+  /// the route. Equal port sequences share one pool entry.
   void set_route(IpAddr dst, const std::vector<int>& ports) {
-    if (dst >= routes_.size()) routes_.resize(dst + 1);
-    routes_[dst].assign(ports);
-  }
-  void clear_routes() {
-    for (PortSet& e : routes_) e.clear();
+    if (dst >= routes_.size()) routes_.resize(dst + 1, nullptr);
+    // Runs of destinations share a set (a stub group's hosts do), so the
+    // set interned last is tried before the pool is scanned.
+    if (last_interned_ == nullptr || !last_interned_->equals(ports)) {
+      last_interned_ = ports.empty() ? nullptr : intern(ports);
+    }
+    routes_[dst] = last_interned_;
   }
 
   [[nodiscard]] const PortSet* route(IpAddr dst) const {
-    if (dst >= routes_.size() || routes_[dst].empty()) return nullptr;
-    return &routes_[dst];
+    return dst < routes_.size() ? routes_[dst] : nullptr;
   }
+
+  /// The distinct port sets routes point into, in first-use order.
+  [[nodiscard]] const std::vector<PortSet>& route_pool() const {
+    return pool_;
+  }
+  /// Heap bytes held by the route table and its pool.
+  [[nodiscard]] std::size_t route_table_bytes() const;
 
   [[nodiscard]] const SwitchStats& stats() const { return stats_; }
 
@@ -123,7 +137,12 @@ class Switch : public Node {
   Cells cells_;
 
  private:
-  std::vector<PortSet> routes_;  // indexed by destination IpAddr (node id)
+  /// The pool entry equal to the non-empty `ports`, added if there is none.
+  const PortSet* intern(const std::vector<int>& ports);
+
+  std::vector<const PortSet*> routes_;  // indexed by destination IpAddr
+  std::vector<PortSet> pool_;           // routes_ point into it
+  const PortSet* last_interned_{nullptr};
 };
 
 }  // namespace clove::net

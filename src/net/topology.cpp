@@ -100,7 +100,7 @@ void Topology::compute_routes() {
     }
   }
 
-  for (Switch* sw : switches_) sw->clear_routes();
+  for (Switch* sw : switches_) sw->reset_routes(n);
 
   // dist[v] = hops from the BFS source to v over live links. Routes follow
   // a link to a node one hop closer to the source: the shortest path towards

@@ -21,6 +21,16 @@ std::uint64_t now_ns() {
 }
 }  // namespace detail
 
+void Scope::enter(ScopeId id) {
+  if (!p_->on_enter(id)) {
+    p_ = nullptr;  // stack full: make the pair a no-op
+    return;
+  }
+  t0_ = detail::now_ns();
+}
+
+void Scope::exit() { p_->on_exit(detail::now_ns() - t0_); }
+
 const char* scope_name(ScopeId id) {
   switch (id) {
     case kDispatch: return "dispatch";

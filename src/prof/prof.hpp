@@ -285,25 +285,24 @@ extern constinit thread_local Profiler* tl_prof;
 [[nodiscard]] inline Profiler* active() { return detail::tl_prof; }
 
 /// RAII scope: ~40 ns (two clock reads) when a profiler is installed, one
-/// TLS load + branch when not.
+/// TLS load + branch when not. Only the null tests are inline; the
+/// profiler-on entry and exit are out-of-line cold calls, so a hot function
+/// that opens a scope carries nothing else of it.
 class Scope {
  public:
   explicit Scope(ScopeId id) : p_(detail::tl_prof) {
-    if (p_ != nullptr) {
-      if (!p_->on_enter(id)) {
-        p_ = nullptr;  // stack full: make the pair a no-op
-        return;
-      }
-      t0_ = detail::now_ns();
-    }
+    if (p_ != nullptr) [[unlikely]] enter(id);
   }
   ~Scope() {
-    if (p_ != nullptr) p_->on_exit(detail::now_ns() - t0_);
+    if (p_ != nullptr) [[unlikely]] exit();
   }
   Scope(const Scope&) = delete;
   Scope& operator=(const Scope&) = delete;
 
  private:
+  [[gnu::cold, gnu::noinline]] void enter(ScopeId id);
+  [[gnu::cold, gnu::noinline]] void exit();
+
   Profiler* p_;
   std::uint64_t t0_{0};
 };

@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <deque>
 #include <limits>
 #include <random>
@@ -254,11 +255,42 @@ std::string route_mismatch(const Topology& topo) {
   return "";
 }
 
+/// Checks each switch's route pool: its port sets are pairwise distinct,
+/// so equal routes share one entry, and every route points at a live pool
+/// entry, never at a set freed by an earlier recompute. Returns the first
+/// violation, or "".
+std::string pool_problem(const Topology& topo) {
+  for (const Switch* sw : topo.switches()) {
+    const std::vector<PortSet>& pool = sw->route_pool();
+    for (std::size_t i = 0; i < pool.size(); ++i) {
+      const std::vector<int> ports(pool[i].begin(), pool[i].end());
+      for (std::size_t j = i + 1; j < pool.size(); ++j) {
+        if (pool[j].equals(ports)) {
+          return sw->name() + ": pool holds one port set twice";
+        }
+      }
+    }
+    for (const Node* dst : topo.hosts()) {
+      const PortSet* route = sw->route(dst->ip());
+      if (route != nullptr &&
+          std::none_of(pool.begin(), pool.end(),
+                       [route](const PortSet& set) { return &set == route; })) {
+        std::string msg = sw->name();
+        msg += " -> ";
+        msg += dst->name();
+        return msg + ": route is not in the pool";
+      }
+    }
+  }
+  return "";
+}
+
 /// Random link events over every connection, checking the routes against
 /// the oracle after each: whole connections failing and returning, and
 /// single directions going down and up.
 void fuzz_against_oracle(Topology& topo, std::uint32_t seed, int steps) {
   ASSERT_EQ(route_mismatch(topo), "") << "after build";
+  ASSERT_EQ(pool_problem(topo), "") << "after build";
   std::mt19937 rng(seed);
   const auto n_links = static_cast<std::uint32_t>(topo.links().size());
   for (int step = 0; step < steps; ++step) {
@@ -276,6 +308,8 @@ void fuzz_against_oracle(Topology& topo, std::uint32_t seed, int steps) {
         break;
     }
     ASSERT_EQ(route_mismatch(topo), "")
+        << "seed " << seed << ", step " << step << ", link " << l->name();
+    ASSERT_EQ(pool_problem(topo), "")
         << "seed " << seed << ", step " << step << ", link " << l->name();
   }
 }
@@ -303,6 +337,58 @@ TEST(RouteOracle, FatTreeK8UnderRandomFaults) {
   Topology topo(sim);
   build_fat_tree_sinks(topo, 8);
   fuzz_against_oracle(topo, 7, 40);
+}
+
+TEST(RouteOracle, FatTreePoolsHoldAtMostKPlusOneSets) {
+  // An edge or agg switch routes through one of its k/2 downlinks or its
+  // uplink set; a core switch through one of its k pod ports.
+  for (int k : {4, 8}) {
+    sim::Simulator sim;
+    Topology topo(sim);
+    build_fat_tree_sinks(topo, k);
+    for (const Switch* sw : topo.switches()) {
+      EXPECT_LE(sw->route_pool().size(), static_cast<std::size_t>(k + 1))
+          << "k=" << k << ", " << sw->name();
+    }
+    EXPECT_EQ(pool_problem(topo), "") << "k=" << k;
+  }
+}
+
+TEST(RouteOracle, PoolGrowthKeepsRoutes) {
+  // A switch without ports starts with a one-set pool; every new distinct
+  // set past that regrows it and moves the routes already installed.
+  sim::Simulator sim;
+  Topology topo(sim);
+  Switch* sw = topo.add_switch("sw");
+  const std::vector<std::vector<int>> sets = {{0}, {1}, {0, 1}, {1}, {2},
+                                              {0}, {1, 0}, {3}, {0, 1}};
+  for (std::size_t d = 0; d < sets.size(); ++d) {
+    sw->set_route(static_cast<IpAddr>(d), sets[d]);
+  }
+  EXPECT_EQ(sw->route_pool().size(), 6u);
+  for (std::size_t d = 0; d < sets.size(); ++d) {
+    const PortSet* route = sw->route(static_cast<IpAddr>(d));
+    ASSERT_NE(route, nullptr);
+    EXPECT_TRUE(route->equals(sets[d])) << "destination " << d;
+    EXPECT_GE(route, sw->route_pool().data());
+    EXPECT_LT(route, sw->route_pool().data() + sw->route_pool().size());
+  }
+  EXPECT_EQ(sw->route(1), sw->route(3));
+  EXPECT_NE(sw->route(2), sw->route(6));  // same ports, other order
+  sw->set_route(0, {});
+  EXPECT_EQ(sw->route(0), nullptr);
+  EXPECT_EQ(sw->route(static_cast<IpAddr>(sets.size())), nullptr);
+}
+
+TEST(RouteOracle, FatTreeK16RouteTablesFitInFourMegabytes) {
+  // One pointer per (switch, node id) over a pool of at most 17 sets per
+  // switch; a dense 64-byte port set per entry took 27.5 MB.
+  sim::Simulator sim;
+  Topology topo(sim);
+  build_fat_tree_sinks(topo, 16);
+  std::size_t bytes = 0;
+  for (const Switch* sw : topo.switches()) bytes += sw->route_table_bytes();
+  EXPECT_LE(bytes, std::size_t{4} << 20);
 }
 
 TEST(RouteOracle, SymmetricTestbedUnderRandomFaults) {
