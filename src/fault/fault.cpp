@@ -176,9 +176,9 @@ FaultPlan FaultPlan::from_env(std::string* error) {
 
 FaultInjector::FaultInjector(net::Topology& topo, FaultPlan plan)
     : topo_(topo), plan_(std::move(plan)) {
-  auto& reg = telemetry::current_scope().metrics();
-  applied_cell_ = reg.counter("clove.fault.events_applied");
-  recompute_cell_ = reg.counter("clove.fault.route_recomputes");
+  auto bind = telemetry::current_scope().binder();
+  applied_cell_ = bind.counter("clove.fault.events_applied");
+  recompute_cell_ = bind.counter("clove.fault.route_recomputes");
 }
 
 void FaultInjector::arm() {

@@ -1,38 +1,22 @@
 #include "lb/clove_ecn.hpp"
 
 #include <algorithm>
-#include <unordered_map>
 
 namespace clove::lb {
 
 void CloveEcnPolicy::on_paths_updated(net::IpAddr dst,
                                       const overlay::PathSet& paths) {
   DstState& st = dsts_[dst];
+  // A path keeps its learned weight, congestion mark and delay.
+  remap_paths(st.paths, paths);
 
-  // Carry state across a remap by path signature (§3.1 optimization): the
-  // same physical path keeps its learned weight when only the source port
-  // that reaches it changed.
-  std::unordered_map<std::string, PathState> old_by_sig;
-  for (auto& p : st.paths) old_by_sig.emplace(p.info.signature(), p);
-
-  st.paths.clear();
-  for (const overlay::PathInfo& info : paths.paths) {
-    PathState ps;
-    ps.info = info;
-    auto it = old_by_sig.find(info.signature());
-    if (it != old_by_sig.end()) {
-      ps.weight = it->second.weight;
-      ps.congested_at = it->second.congested_at;
-      ps.latency = it->second.latency;
-    }
-    st.paths.push_back(std::move(ps));
-  }
-
-  // Normalize; brand-new paths start at the uniform share.
+  // Normalize; brand-new paths start at the uniform share. Round-robin
+  // credits restart for every path.
   const double uniform = st.paths.empty() ? 0.0 : 1.0 / st.paths.size();
   double total = 0.0;
   for (auto& p : st.paths) {
     if (p.weight <= 0.0) p.weight = uniform;
+    p.wrr_credit = 0.0;
     total += p.weight;
   }
   if (total > 0.0) {

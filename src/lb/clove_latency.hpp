@@ -81,20 +81,7 @@ class CloveLatencyPolicy : public Policy {
   }
 
   void on_paths_updated(net::IpAddr dst, const overlay::PathSet& paths) override {
-    DstState& st = dsts_[dst];
-    std::unordered_map<std::string, PathState> old;
-    for (auto& p : st.paths) old.emplace(p.info.signature(), p);
-    st.paths.clear();
-    for (const overlay::PathInfo& info : paths.paths) {
-      PathState ps;
-      ps.info = info;
-      auto it = old.find(info.signature());
-      if (it != old.end()) {
-        ps.latency_us = it->second.latency_us;
-        ps.updated = it->second.updated;
-      }
-      st.paths.push_back(std::move(ps));
-    }
+    remap_paths(dsts_[dst].paths, paths);
   }
 
   void on_feedback(net::IpAddr dst, const net::CloveFeedback& fb,

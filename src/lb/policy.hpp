@@ -1,8 +1,11 @@
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <functional>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "net/packet.hpp"
 #include "overlay/flowlet.hpp"
@@ -34,9 +37,9 @@ struct PickInfo {
 ///  1. on_paths_updated() whenever discovery completes a round for a dst —
 ///     including with a SMALLER or EMPTY set after a path-health eviction.
 ///     Policies must carry what per-path state they can across refreshes
-///     (keyed by path signature) and must tolerate an empty set: pick_port()
-///     is still called and must return a usable port (flow-hash fallback),
-///     never crash or stall.
+///     (keyed by hop list; see remap_paths) and must tolerate an empty set:
+///     pick_port() is still called and must return a usable port (flow-hash
+///     fallback), never crash or stall.
 ///  2. pick_port() per data packet; on_feedback() per arriving feedback
 ///     packet. Both may run millions of times — no allocation on the steady
 ///     path.
@@ -132,5 +135,26 @@ class Policy {
   /// (Clove-ECN/INT/latency) invoke it after applying the reduction.
   std::function<void(net::IpAddr dst, std::uint16_t port)> on_port_degraded;
 };
+
+/// Rebuilds one destination's per-path state for a new path set, carrying
+/// what was learned across the refresh (§3.1 optimization). A physical path
+/// is its hop list, which names every directed link it takes, so it keeps
+/// its state when only the source port that reaches it changed; a path not
+/// seen before starts from a default PathState. When the old set repeats a
+/// hop list, its first entry wins.
+template <typename PathState>
+void remap_paths(std::vector<PathState>& states,
+                 const overlay::PathSet& paths) {
+  const std::vector<PathState> old = std::move(states);
+  states.clear();
+  for (const overlay::PathInfo& info : paths.paths) {
+    const auto it =
+        std::find_if(old.begin(), old.end(), [&](const PathState& p) {
+          return p.info.hops == info.hops;
+        });
+    states.push_back(it != old.end() ? *it : PathState{});
+    states.back().info = info;
+  }
+}
 
 }  // namespace clove::lb

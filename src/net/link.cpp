@@ -23,16 +23,15 @@ Link::Link(sim::Simulator& sim, LinkId id, std::string name, Node* dst,
       dst_in_port_(dst_in_port),
       cfg_(cfg) {
   dre_.configure(cfg_.dre_alpha, cfg_.dre_interval, cfg_.rate_bytes_per_sec);
-  auto& reg = telemetry::current_scope().metrics();
-  const telemetry::Labels labels{{"link", name_}};
-  cells_.tx_packets = reg.counter("link.tx_packets", labels);
-  cells_.tx_bytes = reg.counter("link.tx_bytes", labels);
-  cells_.drops_overflow = reg.counter("link.drops_overflow", labels);
-  cells_.drops_down = reg.counter("link.drops_down", labels);
-  cells_.drops_fault = reg.counter("link.drops_fault", labels);
-  cells_.ecn_marks = reg.counter("link.ecn_marks", labels);
-  cells_.queue_high_watermark =
-      reg.gauge("link.queue_high_watermark_bytes", labels);
+  auto bind = telemetry::current_scope().binder(
+      [&] { return telemetry::Labels{{"link", name_}}; });
+  cells_ = Cells{bind.counter("link.tx_packets"),
+                 bind.counter("link.tx_bytes"),
+                 bind.counter("link.drops_overflow"),
+                 bind.counter("link.drops_down"),
+                 bind.counter("link.drops_fault"),
+                 bind.counter("link.ecn_marks"),
+                 bind.gauge("link.queue_high_watermark_bytes")};
 }
 
 void Link::enqueue(PacketPtr pkt) {

@@ -241,8 +241,9 @@ class Link {
   telemetry::Dre dre_;
   LinkStats stats_;
 
-  /// Registry cells, resolved once at construction; hot-path updates are
-  /// guarded by telemetry::enabled().
+  /// Registry cells (the scope's null cells when built with telemetry off),
+  /// resolved once at construction; hot-path updates are guarded by
+  /// telemetry::enabled().
   struct Cells {
     telemetry::Counter* tx_packets;
     telemetry::Counter* tx_bytes;

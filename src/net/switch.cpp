@@ -7,11 +7,11 @@ namespace clove::net {
 
 Switch::Switch(sim::Simulator& sim, NodeId id, std::string name)
     : Node(id, std::move(name)), sim_(sim) {
-  auto& reg = telemetry::current_scope().metrics();
-  const telemetry::Labels labels{{"switch", this->name()}};
-  cells_.forwarded = reg.counter("switch.forwarded", labels);
-  cells_.no_route_drops = reg.counter("switch.no_route_drops", labels);
-  cells_.ttl_drops = reg.counter("switch.ttl_drops", labels);
+  auto bind = telemetry::current_scope().binder(
+      [&] { return telemetry::Labels{{"switch", this->name()}}; });
+  cells_ = Cells{bind.counter("switch.forwarded"),
+                 bind.counter("switch.no_route_drops"),
+                 bind.counter("switch.ttl_drops")};
 }
 
 void Switch::reset_routes(std::size_t n_dst) {

@@ -13,15 +13,15 @@ Hypervisor::Hypervisor(net::NodeId id, std::string name, sim::Simulator& sim,
       sim_(sim),
       cfg_(cfg),
       policy_(std::move(policy)) {
-  auto& reg = telemetry::current_scope().metrics();
-  const telemetry::Labels labels{{"host", this->name()},
-                                 {"scheme", policy_->name()}};
-  cells_.encapped = reg.counter("hyp.encapped", labels);
-  cells_.decapped = reg.counter("hyp.decapped", labels);
-  cells_.ce_intercepted = reg.counter("hyp.ce_intercepted", labels);
-  cells_.feedback_attached = reg.counter("hyp.feedback_attached", labels);
-  cells_.feedback_received = reg.counter("hyp.feedback_received", labels);
-  cells_.forged_ece = reg.counter("hyp.forged_ece", labels);
+  auto bind = telemetry::current_scope().binder([&] {
+    return telemetry::Labels{{"host", this->name()},
+                             {"scheme", policy_->name()}};
+  });
+  cells_ = Cells{bind.counter("hyp.encapped"), bind.counter("hyp.decapped"),
+                 bind.counter("hyp.ce_intercepted"),
+                 bind.counter("hyp.feedback_attached"),
+                 bind.counter("hyp.feedback_received"),
+                 bind.counter("hyp.forged_ece")};
   traceroute_ = std::make_unique<TracerouteDaemon>(
       sim_, ip(), cfg_.discovery,
       [this](std::shared_ptr<const net::PacketRecipe> run) {

@@ -6,22 +6,19 @@
 
 namespace clove::overlay {
 
-PathHealthMonitor::PathHealthMonitor(sim::Simulator& sim, std::string owner,
+PathHealthMonitor::PathHealthMonitor(sim::Simulator& sim,
+                                     const std::string& owner,
                                      const PathHealthConfig& cfg,
                                      TracerouteDaemon* daemon,
                                      lb::Policy* policy)
-    : sim_(sim),
-      owner_(std::move(owner)),
-      cfg_(cfg),
-      daemon_(daemon),
-      policy_(policy) {
-  auto& reg = telemetry::current_scope().metrics();
-  const telemetry::Labels labels{{"host", owner_}};
-  cells_.keepalives = reg.counter("clove.pathset.keepalives", labels);
-  cells_.keepalive_acks = reg.counter("clove.pathset.keepalive_acks", labels);
-  cells_.suspects = reg.counter("clove.pathset.suspects", labels);
-  cells_.evictions = reg.counter("clove.pathset.evictions", labels);
-  cells_.readmissions = reg.counter("clove.pathset.readmissions", labels);
+    : sim_(sim), cfg_(cfg), daemon_(daemon), policy_(policy) {
+  auto bind = telemetry::current_scope().binder(
+      [&] { return telemetry::Labels{{"host", owner}}; });
+  cells_ = Cells{bind.counter("clove.pathset.keepalives"),
+                 bind.counter("clove.pathset.keepalive_acks"),
+                 bind.counter("clove.pathset.suspects"),
+                 bind.counter("clove.pathset.evictions"),
+                 bind.counter("clove.pathset.readmissions")};
 }
 
 PathHealthMonitor::PortState* PathHealthMonitor::find(net::IpAddr dst,

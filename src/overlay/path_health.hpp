@@ -64,7 +64,8 @@ class PathHealthMonitor {
     std::uint64_t readmissions{0};
   };
 
-  PathHealthMonitor(sim::Simulator& sim, std::string owner,
+  /// `owner` names the host in the monitor's metric labels.
+  PathHealthMonitor(sim::Simulator& sim, const std::string& owner,
                     const PathHealthConfig& cfg, TracerouteDaemon* daemon,
                     lb::Policy* policy);
 
@@ -111,7 +112,6 @@ class PathHealthMonitor {
   PortState* find(net::IpAddr dst, std::uint16_t port);
 
   sim::Simulator& sim_;
-  std::string owner_;
   PathHealthConfig cfg_;
   TracerouteDaemon* daemon_;
   lb::Policy* policy_;

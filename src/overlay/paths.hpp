@@ -1,7 +1,7 @@
 #pragma once
 
+#include <compare>
 #include <cstdint>
-#include <string>
 #include <vector>
 
 #include "net/packet.hpp"
@@ -23,29 +23,16 @@ inline constexpr std::uint16_t kEphemeralCount = 16384;
 struct PathHop {
   net::IpAddr node{net::kIpNone};
   std::int32_t ingress{-1};
-  bool operator==(const PathHop&) const = default;
+  auto operator<=>(const PathHop&) const = default;
 };
 
 /// One discovered network path to a destination hypervisor: the overlay
 /// source port that ECMP maps onto it, and the interface-level hop list the
-/// traceroute saw (ending with the destination hypervisor itself).
+/// traceroute saw (ending with the destination hypervisor itself). The hop
+/// list is the physical path's identity whichever port maps to it.
 struct PathInfo {
   std::uint16_t port{0};
   std::vector<PathHop> hops;
-
-  /// Stable identity of the physical path regardless of which source port
-  /// currently maps to it (used to carry congestion state across topology
-  /// changes, §3.1's optimization).
-  [[nodiscard]] std::string signature() const {
-    std::string s;
-    for (const PathHop& h : hops) {
-      s += std::to_string(h.node);
-      s += ':';
-      s += std::to_string(h.ingress);
-      s += '-';
-    }
-    return s;
-  }
 
   /// Count of directed links shared with `other`: each hop's (node, ingress)
   /// pair names the link the path entered that node on.

@@ -64,8 +64,52 @@ class Scope {
     return ScopeSettings{enabled_, flight_cfg_};
   }
 
+  /// Binds one component's metric cells as it is built; a component counts
+  /// only if its scope was enabled then. Enabled, each call registers (or
+  /// finds) the named cell under the component's labels. Disabled, it does
+  /// no registry work and never makes the labels: every call returns this
+  /// scope's null cell of the kind, which no snapshot holds and the enabled()
+  /// guard leaves unwritten while the scope stays off. Null cells are per
+  /// scope, so no two threads share one.
+  class Binder {
+   public:
+    Counter* counter(const char* name) {
+      return live_ ? scope_.metrics_.counter(name, labels_)
+                   : &scope_.null_counter_;
+    }
+    Gauge* gauge(const char* name) {
+      return live_ ? scope_.metrics_.gauge(name, labels_) : &scope_.null_gauge_;
+    }
+    Histogram* histogram(const char* name) {
+      return live_ ? scope_.metrics_.histogram(name, labels_)
+                   : &scope_.null_histogram_;
+    }
+
+   private:
+    friend class Scope;
+    explicit Binder(Scope& scope) : scope_(scope), live_(scope.enabled_) {}
+
+    Scope& scope_;
+    bool live_;
+    Labels labels_;
+  };
+
+  /// A binder for cells labelled with `make_labels()`, called only when the
+  /// scope is enabled.
+  template <typename MakeLabels>
+  [[nodiscard]] Binder binder(MakeLabels&& make_labels) {
+    Binder b(*this);
+    if (b.live_) b.labels_ = make_labels();
+    return b;
+  }
+  /// A binder for unlabelled cells.
+  [[nodiscard]] Binder binder() { return Binder(*this); }
+
  private:
   MetricsRegistry metrics_;
+  Counter null_counter_;
+  Gauge null_gauge_;
+  Histogram null_histogram_;
   bool enabled_{false};
   FlightConfig flight_cfg_{};
   std::unique_ptr<FlightRecorder> flight_;

@@ -29,9 +29,11 @@ TcpSender::TcpSender(VmPort& port, net::FiveTuple tuple, TcpConfig cfg)
       ssthresh_(cfg.max_cwnd_bytes),
       sack_(cfg.mss) {
   if (cfg_.dctcp) cfg_.ecn = true;
-  auto& m = telemetry::current_scope().metrics();
-  cells_ = Cells{m.counter("tcp.timeouts"), m.counter("tcp.fast_retransmits"),
-                 m.counter("tcp.ecn_reductions"), m.histogram("tcp.rtt_us")};
+  auto bind = telemetry::current_scope().binder();
+  cells_ = Cells{bind.counter("tcp.timeouts"),
+                 bind.counter("tcp.fast_retransmits"),
+                 bind.counter("tcp.ecn_reductions"),
+                 bind.histogram("tcp.rtt_us")};
 }
 
 TcpSender::~TcpSender() {

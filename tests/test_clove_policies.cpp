@@ -6,6 +6,8 @@
 #include <map>
 #include <numeric>
 #include <set>
+#include <utility>
+#include <vector>
 
 #include "lb/clove_ecn.hpp"
 #include "lb/clove_int.hpp"
@@ -49,6 +51,15 @@ net::CloveFeedback util_fb(std::uint16_t port, double util) {
   fb.has_util = true;
   fb.util = util;
   return fb;
+}
+
+/// four_paths() after a rediscovery: every path behind a new port, the
+/// first two swapped, and the last replaced by a path over a new spine.
+overlay::PathSet remapped_paths() {
+  overlay::PathSet ps = four_paths(60000);
+  std::swap(ps.paths[0].hops, ps.paths[1].hops);
+  ps.paths[3].hops[1] = {99, 0};
+  return ps;
 }
 
 CloveEcnConfig slow_recovery() {
@@ -204,6 +215,25 @@ TEST(CloveEcn, StateCarriesAcrossRemapBySignature) {
   EXPECT_NEAR(w[0], depressed, 0.02);  // learned weight survived the remap
 }
 
+TEST(CloveEcn, RemapKeepsEachPathsWeightAndStartsNewPathsUniform) {
+  CloveEcnPolicy p(slow_recovery());
+  p.on_paths_updated(2, four_paths());
+  for (int i = 0; i < 3; ++i) {
+    p.on_feedback(2, ecn_fb(50000), i * 300 * kMicrosecond);
+  }
+  p.on_feedback(2, ecn_fb(50002), 700 * kMicrosecond);
+  const std::vector<double> w0 = p.weights(2);
+  p.on_paths_updated(2, remapped_paths());
+  // Kept weights, and the uniform share for the new path, renormalized.
+  const double total = w0[1] + w0[0] + w0[2] + 0.25;
+  const std::vector<double> w = p.weights(2);
+  ASSERT_EQ(w.size(), 4u);
+  EXPECT_NEAR(w[0], w0[1] / total, 1e-12);
+  EXPECT_NEAR(w[1], w0[0] / total, 1e-12);
+  EXPECT_NEAR(w[2], w0[2] / total, 1e-12);
+  EXPECT_NEAR(w[3], 0.25 / total, 1e-12);
+}
+
 TEST(CloveEcn, FeedbackForUnknownPortIgnored) {
   CloveEcnPolicy p(slow_recovery());
   p.on_paths_updated(2, four_paths());
@@ -260,6 +290,18 @@ TEST(CloveInt, EwmaSmoothsSamples) {
   EXPECT_NEAR(utils[0], 0.5, 1e-9);
 }
 
+TEST(CloveInt, RemapKeepsEachPathsUtilAndStartsNewPathsFresh) {
+  CloveIntPolicy p;
+  p.on_paths_updated(2, four_paths());
+  const double util[4] = {0.9, 0.7, 0.5, 0.3};
+  for (std::uint16_t i = 0; i < 4; ++i) {
+    p.on_feedback(2, util_fb(static_cast<std::uint16_t>(50000 + i), util[i]),
+                  10);
+  }
+  p.on_paths_updated(2, remapped_paths());
+  EXPECT_EQ(p.utilizations(2, 20), (std::vector<double>{0.7, 0.9, 0.5, 0.0}));
+}
+
 TEST(CloveInt, TieBreaksSpreadAcrossIdlePaths) {
   CloveIntPolicy p;
   p.on_paths_updated(2, four_paths());
@@ -309,6 +351,34 @@ TEST(CloveLatency, RoutesToLowestLatencyPath) {
         make_data(tuple(1, 2, static_cast<std::uint16_t>(5000 + i)), 0, 100);
     EXPECT_EQ(p.pick_port(*pkt, 2, t + 1), 50001);
   }
+}
+
+TEST(CloveLatency, RemapKeepsEachPathsLatencyAndStartsNewPathsFresh) {
+  CloveLatencyPolicy p;
+  p.on_paths_updated(2, four_paths());
+  net::CloveFeedback fb;
+  fb.present = true;
+  fb.has_latency = true;
+  auto report = [&](std::uint16_t port, sim::Time delay) {
+    fb.port = port;
+    fb.latency = delay;
+    p.on_feedback(2, fb, 10);
+  };
+  report(50000, 900 * kMicrosecond);
+  report(50001, 50 * kMicrosecond);
+  report(50002, 300 * kMicrosecond);
+  report(50003, 200 * kMicrosecond);
+  p.on_paths_updated(2, remapped_paths());
+  // The new path has no delay sample yet, so it reads as the fastest.
+  PickInfo info;
+  auto pkt = make_data(tuple(1, 2, 6000), 0, 100);
+  EXPECT_EQ(p.pick_port(*pkt, 2, 20, &info), 60003);
+  EXPECT_EQ(info.metric, 0.0);
+  // Once it is slow, 50001's path, now behind 60000, is the fastest.
+  report(60003, 1000 * kMicrosecond);
+  pkt = make_data(tuple(1, 2, 6001), 0, 100);
+  EXPECT_EQ(p.pick_port(*pkt, 2, 30, &info), 60000);
+  EXPECT_EQ(info.metric, 50.0);
 }
 
 TEST(CloveLatency, NeedsDiscoveryOnly) {

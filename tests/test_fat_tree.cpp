@@ -185,11 +185,11 @@ TEST(FatTreeClove, DiscoveryFindsAllCrossPodPaths) {
   // 4 distinct cross-pod paths (one per core switch), each 6 hops:
   // edge-agg-core-agg-edge + destination.
   EXPECT_EQ(ps->size(), 4u);
-  std::set<std::string> sigs;
+  std::set<std::vector<overlay::PathHop>> sigs;
   std::set<net::IpAddr> cores_seen;
   for (const auto& p : ps->paths) {
     EXPECT_EQ(p.hops.size(), 6u);
-    sigs.insert(p.signature());
+    sigs.insert(p.hops);
     cores_seen.insert(p.hops[2].node);  // the core hop
   }
   EXPECT_EQ(sigs.size(), 4u);

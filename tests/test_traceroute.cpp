@@ -8,6 +8,7 @@
 
 #include "harness/experiment.hpp"
 #include "lb/clove_ecn.hpp"
+#include "lb/policy.hpp"
 #include "net/packet_pool.hpp"
 #include "net/topology.hpp"
 #include "overlay/hypervisor.hpp"
@@ -26,19 +27,40 @@ PathInfo make_path(std::uint16_t port,
   return p;
 }
 
+/// Per-path state as a policy keeps it, for lb::remap_paths.
+struct Learned {
+  PathInfo info;
+  int state{0};
+};
+
+/// The state each path of `next` gets when it replaces `old`.
+std::vector<int> remapped(std::vector<Learned> old,
+                          std::vector<PathInfo> next) {
+  lb::remap_paths(old, PathSet{std::move(next), 0});
+  std::vector<int> out;
+  for (const Learned& l : old) out.push_back(l.state);
+  return out;
+}
+
 TEST(PathInfo, SignatureStable) {
+  // A path's identity is its hop list, whichever port maps to it.
   auto a = make_path(1, {{10, 0}, {20, 1}, {30, 0}});
   auto b = make_path(2, {{10, 0}, {20, 1}, {30, 0}});
   auto c = make_path(3, {{10, 0}, {21, 1}, {30, 0}});
-  EXPECT_EQ(a.signature(), b.signature());  // port-independent
-  EXPECT_NE(a.signature(), c.signature());
+  EXPECT_EQ(remapped({{a, 7}}, {c, b}), (std::vector<int>{0, 7}));
 }
 
 TEST(PathInfo, SignatureDistinguishesParallelLinks) {
   // Same node sequence, different ingress interfaces => different links.
   auto a = make_path(1, {{10, 0}, {20, 0}, {30, 0}});
   auto b = make_path(2, {{10, 0}, {20, 1}, {30, 0}});
-  EXPECT_NE(a.signature(), b.signature());
+  EXPECT_EQ(remapped({{a, 7}}, {b}), (std::vector<int>{0}));
+}
+
+TEST(PathInfo, RemapKeepsTheFirstOfRepeatedPaths) {
+  auto a = make_path(1, {{10, 0}, {20, 1}, {30, 0}});
+  auto b = make_path(2, {{10, 0}, {20, 1}, {30, 0}});
+  EXPECT_EQ(remapped({{a, 7}, {b, 9}}, {b, a}), (std::vector<int>{7, 7}));
 }
 
 TEST(PathInfo, SharedLinksCountsInterfaceHops) {
@@ -62,7 +84,7 @@ TEST(SelectDisjoint, DeduplicatesSamePath) {
 
 TEST(SelectDisjoint, PrefersDisjointPaths) {
   // 2 spines x 2 spine-ingresses (parallel uplinks): 4 link-distinct paths
-  // plus duplicates; greedy should end up with 4 distinct signatures.
+  // plus duplicates; greedy should end up with 4 distinct hop lists.
   std::vector<PathInfo> cands;
   std::uint16_t port = 100;
   for (int spine : {20, 21}) {
@@ -78,8 +100,8 @@ TEST(SelectDisjoint, PrefersDisjointPaths) {
   }
   auto sel = TracerouteDaemon::select_disjoint(cands, 4);
   ASSERT_EQ(sel.size(), 4u);
-  std::set<std::string> sigs;
-  for (const auto& p : sel) sigs.insert(p.signature());
+  std::set<std::vector<PathHop>> sigs;
+  for (const auto& p : sel) sigs.insert(p.hops);
   EXPECT_EQ(sigs.size(), 4u);
 }
 
@@ -288,11 +310,11 @@ TEST_F(DiscoveryFixture, FindsFourDisjointPaths) {
   ASSERT_NE(ps, nullptr);
   EXPECT_EQ(ps->size(), 4u);
   // All four paths: leaf -> spine -> leaf -> dst (3 switch hops + dst).
-  std::set<std::string> sigs;
+  std::set<std::vector<PathHop>> sigs;
   for (const auto& p : ps->paths) {
     EXPECT_EQ(p.hops.size(), 4u);
     EXPECT_EQ(p.hops.back().node, dst->ip());
-    sigs.insert(p.signature());
+    sigs.insert(p.hops);
   }
   EXPECT_EQ(sigs.size(), 4u);
 }
@@ -324,9 +346,9 @@ TEST_F(DiscoveryFixture, AsymmetricTopologyStillFindsFourPortsThreeDisjoint) {
   const PathSet* ps = src->discovery().paths(dst->ip());
   ASSERT_NE(ps, nullptr);
   // The fabric still has distinct paths; S2's surviving downlink is shared
-  // by its two uplinks from L1. Expect at least 3 distinct signatures.
-  std::set<std::string> sigs;
-  for (const auto& p : ps->paths) sigs.insert(p.signature());
+  // by its two uplinks from L1. Expect at least 3 distinct hop lists.
+  std::set<std::vector<PathHop>> sigs;
+  for (const auto& p : ps->paths) sigs.insert(p.hops);
   EXPECT_GE(sigs.size(), 3u);
 }
 
