@@ -16,14 +16,13 @@
 #include <unistd.h>
 
 #include <array>
-#include <atomic>
 #include <chrono>
 #include <cstdlib>
 #include <memory>
-#include <new>
 #include <string>
 #include <utility>
 
+#include "alloc_count.hpp"
 #include "bench_common.hpp"
 #include "lb/clove_ecn.hpp"
 #include "lb/clove_int.hpp"
@@ -39,35 +38,10 @@
 #include "telemetry/scope.hpp"
 #include "transport/tcp.hpp"
 
-// --- allocation counting ---------------------------------------------------
-// Program-wide operator new/delete override counting every heap allocation,
-// so the event-loop benchmarks can report an exact allocs-per-event figure
-// (the "zero heap allocations per steady-state packet event" claim).
-
-namespace {
-std::atomic<std::uint64_t> g_alloc_count{0};
-
-std::uint64_t alloc_count() {
-  return g_alloc_count.load(std::memory_order_relaxed);
-}
-
-void* counted_alloc(std::size_t n) {
-  g_alloc_count.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(n == 0 ? 1 : n)) return p;
-  throw std::bad_alloc();
-}
-}  // namespace
-
-void* operator new(std::size_t n) { return counted_alloc(n); }
-void* operator new[](std::size_t n) { return counted_alloc(n); }
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
-
 namespace {
 
 using namespace clove;
+using bench::alloc_count;
 
 net::FiveTuple tuple_for(int i) {
   return net::FiveTuple{1, 2, static_cast<std::uint16_t>(1000 + (i & 1023)),
@@ -661,11 +635,15 @@ BENCHMARK(BM_FatTreeBuild)->Arg(8)->Arg(16)->Unit(benchmark::kMillisecond);
 
 // --- artifact emission -----------------------------------------------------
 
-/// ConsoleReporter that additionally records every run's ns/op and user
-/// counters into the bench Artifact, producing BENCH_micro.json when
-/// CLOVE_JSON_OUT is set (see run_benches.sh).
-class ArtifactReporter : public benchmark::ConsoleReporter {
+/// Records every run's ns/op and user counters into the bench Artifact,
+/// producing BENCH_micro.json when CLOVE_JSON_OUT is set (see
+/// run_benches.sh), and hands each report on to the display reporter
+/// --benchmark_format selects.
+class ArtifactReporter : public benchmark::BenchmarkReporter {
  public:
+  bool ReportContext(const Context& context) override {
+    return display_->ReportContext(context);
+  }
   void ReportRuns(const std::vector<Run>& runs) override {
     if (bench::Artifact* a = bench::Artifact::current()) {
       for (const Run& run : runs) {
@@ -678,8 +656,14 @@ class ArtifactReporter : public benchmark::ConsoleReporter {
         }
       }
     }
-    ConsoleReporter::ReportRuns(runs);
+    display_->ReportRuns(runs);
   }
+  void Finalize() override { display_->Finalize(); }
+
+ private:
+  /// Owned by the library.
+  benchmark::BenchmarkReporter* display_ =
+      benchmark::CreateDefaultDisplayReporter();
 };
 
 }  // namespace

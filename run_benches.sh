@@ -14,11 +14,14 @@
 # fabric counters, telemetry digest). Artifacts land in CLOVE_JSON_OUT,
 # which defaults to the repo root (this script's directory) so the committed
 # BENCH_*.json perf baselines are refreshed in place by a plain
-# ./run_benches.sh; bench_micro_datapath contributes BENCH_micro.json and
-# bench_fabric_forwarding BENCH_fabric.json (ns/op, events/sec and
-# allocs/event for the datapath hot loops — the perf baselines
-# scripts/bench_check.py compares CI runs against). Set CLOVE_JSON_OUT=<dir>
-# to redirect them elsewhere, or CLOVE_JSON_OUT="" to skip JSON output.
+# ./run_benches.sh; bench_micro_datapath contributes BENCH_micro.json,
+# bench_fabric_forwarding BENCH_fabric.json and bench_scale BENCH_scale.json
+# (ns/op, events/sec, allocs/event and peak RSS for the datapath hot loops —
+# the perf baselines scripts/bench_check.py compares CI runs against). The
+# last two drive the synthetic fabrics of bench/fabric_driver.cpp, and
+# CLOVE_FABRIC_ROUNDS overrides their rounds (defaults 256 and 64). Set
+# CLOVE_JSON_OUT=<dir> to redirect the artifacts elsewhere, or
+# CLOVE_JSON_OUT="" to skip JSON output.
 #
 # A figure's runs (every point and seed) go in parallel across CLOVE_THREADS
 # worker threads (default: all hardware threads). Results are bit-identical
