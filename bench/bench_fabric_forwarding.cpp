@@ -13,12 +13,15 @@
 //                 samples within the run (plus a uid modulo per hop).
 //   prof_guard    no profiler; CLOVE_PROF=off, which is also no profiler (so
 //                 "off costs zero" and the noise floor); a kSummary profiler
-//                 (two clock reads per scope).
+//                 (two clock reads per scope). prof_guard.scope_overhead_ns
+//                 reports what those two clock reads cost where the bench
+//                 runs, which is what prof_summary_ratio moves with.
 //
 // With CLOVE_JSON_OUT=<dir> set, results land in <dir>/BENCH_fabric.json,
 // the baseline the bench-smoke CI job diffs against. CLOVE_FABRIC_ROUNDS
 // (default 256) sets the rounds per scenario and per guard.
 
+#include <cstdint>
 #include <cstdio>
 #include <memory>
 #include <string>
@@ -122,5 +125,12 @@ int main() {
                                   {"prof_off", &ft},
                                   {"prof_summary", &ft, nullptr, &summary_prof}},
                                  rounds, &bench::Measured::pkts_per_sec));
+  const std::uint64_t scope_ns = prof::scope_overhead_ns_estimate();
+  std::printf("%-27s %10llu ns per scope\n", "prof_guard.scope_overhead_ns",
+              static_cast<unsigned long long>(scope_ns));
+  if (bench::Artifact* a = bench::Artifact::current()) {
+    a->add_value("prof_guard.scope_overhead_ns",
+                 static_cast<double>(scope_ns));
+  }
   return 0;
 }

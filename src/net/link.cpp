@@ -1,6 +1,7 @@
 #include "net/link.hpp"
 
 #include <algorithm>
+#include <cassert>
 
 #include "net/node.hpp"
 #include "net/packet_pool.hpp"
@@ -13,6 +14,47 @@ namespace {
 /// How many packets ahead of the one being serialized start_tx() prefetches.
 constexpr std::size_t kPrefetchAhead = 2;
 }  // namespace
+
+/// A link's queued probe replies as one open-ended recipe: reply i is the
+/// i-th pushed since the link was built. The transmitter builds them in
+/// push order, and start_tx() trims each one it builds, so the FIFO holds
+/// only replies still waiting.
+class ReplyRecipe final : public PacketRecipe {
+ public:
+  ReplyRecipe() { wire_size = ProbeReply::kWireSize; }
+
+  void build(Packet& p, std::uint32_t i) const override { at(i).build(p); }
+  [[nodiscard]] std::uint64_t uid(std::uint32_t i) const override {
+    return at(i).uid;
+  }
+
+  /// Append `reply` and return its index.
+  std::uint32_t push(const ProbeReply& reply) {
+    fifo_.push_back(reply);
+    return first_ + static_cast<std::uint32_t>(fifo_.size() - 1);
+  }
+  void pop_front() {
+    fifo_.pop_front();
+    ++first_;
+  }
+  void clear() {
+    first_ += static_cast<std::uint32_t>(fifo_.size());
+    fifo_.clear();
+  }
+  [[nodiscard]] std::size_t storage_bytes() const {
+    return fifo_.capacity() * sizeof(ProbeReply);
+  }
+
+ private:
+  // Indices wrap modulo 2^32 like Run's bounds; the FIFO never holds that many.
+  [[nodiscard]] const ProbeReply& at(std::uint32_t i) const {
+    assert(i - first_ < fifo_.size());
+    return fifo_[i - first_];
+  }
+
+  util::RingDeque<ProbeReply> fifo_;
+  std::uint32_t first_{0};  ///< index of fifo_.front()
+};
 
 Link::Link(sim::Simulator& sim, LinkId id, std::string name, Node* dst,
            int dst_in_port, const LinkConfig& cfg)
@@ -43,28 +85,42 @@ void Link::enqueue(PacketPtr pkt) {
 void Link::enqueue_run(std::shared_ptr<const PacketRecipe> run) {
   const auto wire = static_cast<std::int64_t>(run->wire_size);
   for (std::uint32_t i = 0; i < run->count; ++i) {
-    if (!admit(nullptr, run->first_uid + i, wire)) continue;
-    // Grow the run's entry at the back of the queue, or open a new one: a
-    // dropped packet leaves a hole, and the transmitter may already have
-    // taken the entry's last packet.
-    if (!queue_.empty() && queue_.back() == nullptr &&
-        runs_.back().recipe == run && runs_.back().end == i) {
-      ++runs_.back().end;
-    } else {
-      runs_.push_back(Run{run, i, i + 1});
-      queue_.push_back(PacketPtr{});
-    }
-    if (!busy_) start_tx();
+    if (admit(nullptr, run->uid(i), wire)) queue_unbuilt(run, i);
   }
 }
 
-bool Link::admit(Packet* pkt, std::uint64_t run_uid, std::int64_t wire) {
+void Link::enqueue_reply(const ProbeReply& reply) {
+  if (!admit(nullptr, reply.uid, ProbeReply::kWireSize)) return;
+  if (replies_ == nullptr) replies_ = std::make_shared<ReplyRecipe>();
+  queue_unbuilt(replies_, replies_->push(reply));
+}
+
+std::size_t Link::reply_storage_bytes() const {
+  return replies_ == nullptr ? 0 : replies_->storage_bytes();
+}
+
+void Link::queue_unbuilt(const std::shared_ptr<const PacketRecipe>& recipe,
+                         std::uint32_t i) {
+  // Grow the recipe's entry at the back of the queue, or open a new one: a
+  // dropped packet leaves a hole, and the transmitter may already have
+  // taken the entry's last packet.
+  if (!queue_.empty() && queue_.back() == nullptr &&
+      runs_.back().recipe == recipe && runs_.back().end == i) {
+    ++runs_.back().end;
+  } else {
+    runs_.push_back(Run{recipe, i, i + 1});
+    queue_.push_back(PacketPtr{});
+  }
+  if (!busy_) start_tx();
+}
+
+bool Link::admit(Packet* pkt, std::uint64_t unbuilt_uid, std::int64_t wire) {
   const auto lost = [&](std::uint64_t& count, telemetry::Counter* cell,
                         telemetry::JourneyOutcome why) {
     ++count;
     if (telemetry::enabled()) cell->add();
     if (auto* fr = telemetry::flight()) {
-      fr->on_drop(pkt != nullptr ? pkt->uid : run_uid,
+      fr->on_drop(pkt != nullptr ? pkt->uid : unbuilt_uid,
                   dst_ != nullptr ? dst_->id() : 0, name_, why, sim_.now());
     }
     return false;
@@ -117,6 +173,7 @@ void Link::start_tx() {
     // The front entry is a run: build its next packet now.
     Run& run = runs_.front();
     in_flight_ = run.recipe->make(PacketPool::of(sim_), run.next++);
+    if (run.recipe == replies_) replies_->pop_front();
     if (run.next == run.end) {
       runs_.pop_front();
       queue_.pop_front();
@@ -250,8 +307,8 @@ void Link::down() {
         drop(queue_.front()->uid);
       } else {
         const Run& run = runs_.front();
-        for (std::uint32_t i = run.next; i < run.end; ++i) {
-          drop(run.recipe->first_uid + i);
+        for (std::uint32_t i = run.next; i != run.end; ++i) {
+          drop(run.recipe->uid(i));
         }
         runs_.pop_front();
       }
@@ -265,6 +322,7 @@ void Link::down() {
   }
   queue_.clear();
   runs_.clear();
+  if (replies_ != nullptr) replies_->clear();
   queue_bytes_ = 0;
   propagating_.clear();
   if (prop_wake_.valid()) {

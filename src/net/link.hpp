@@ -16,6 +16,7 @@ namespace clove::net {
 
 class Node;
 class PacketRecipe;
+class ReplyRecipe;
 
 using LinkId = std::uint32_t;
 
@@ -74,6 +75,16 @@ class Link {
   /// under the same rules, but an admitted packet is only built when the
   /// transmitter reaches it.
   void enqueue_run(std::shared_ptr<const PacketRecipe> run);
+
+  /// Offer a probe reply to the egress queue exactly as enqueue() of the
+  /// built reply would: it is admitted or dropped now, and its packet is
+  /// built when the transmitter reaches it. Consecutive queued replies
+  /// share one queue entry.
+  void enqueue_reply(const ProbeReply& reply);
+
+  /// Heap bytes held for this link's queued replies: the descriptor FIFO's
+  /// capacity, which is its high-water mark.
+  [[nodiscard]] std::size_t reply_storage_bytes() const;
 
   /// Take the link down: queued (built or not) and in-flight packets are
   /// lost, and no new traffic is accepted until up() is called.
@@ -184,11 +195,15 @@ class Link {
  private:
   /// The admission rules every offered packet passes, in order: link down,
   /// injected fault drop, drop-tail overflow, ECN marking, then the queue
-  /// charge and high-watermarks. `pkt` is null for an unbuilt run packet
-  /// (never ECN-capable, so never marked), which is known by `run_uid`; a
-  /// built packet's own uid is read only if it is dropped. Returns whether
-  /// the packet was queued; a lost one is counted and reported here.
-  bool admit(Packet* pkt, std::uint64_t run_uid, std::int64_t wire);
+  /// charge and high-watermarks. `pkt` is null for an unbuilt packet (a
+  /// run's or a reply; never ECN-capable, so never marked), which is known
+  /// by `unbuilt_uid`; a built packet's own uid is read only if it is
+  /// dropped. Returns whether the packet was queued; a lost one is counted
+  /// and reported here.
+  bool admit(Packet* pkt, std::uint64_t unbuilt_uid, std::int64_t wire);
+  /// Queue the admitted, unbuilt packet `i` of `recipe`.
+  void queue_unbuilt(const std::shared_ptr<const PacketRecipe>& recipe,
+                     std::uint32_t i);
   void start_tx();
   void on_tx_done(std::uint32_t tx_gen);
   void deliver_front();
@@ -200,7 +215,7 @@ class Link {
   int dst_in_port_;
   LinkConfig cfg_;
 
-  /// Packets [next, end) of a run, admitted but not built yet.
+  /// Packets [next, end) of a recipe, admitted but not built yet.
   struct Run {
     std::shared_ptr<const PacketRecipe> recipe;
     std::uint32_t next{0};
@@ -213,6 +228,9 @@ class Link {
   // Each null entry in queue_ stands for the next Run in runs_, in order.
   util::RingDeque<PacketPtr> queue_;
   util::RingDeque<Run> runs_;
+  /// The queued replies' descriptors, in queue order; made on first use,
+  /// so a fabric that runs no discovery allocates none.
+  std::shared_ptr<ReplyRecipe> replies_;
   std::int64_t queue_bytes_{0};
   bool busy_{false};
   PacketPtr in_flight_;            ///< packet currently being serialized

@@ -140,6 +140,8 @@ struct CongaFields {
   bool fb_present{false};
   std::uint8_t fb_tag{0};
   std::uint8_t fb_ce{0};
+
+  bool operator==(const CongaFields&) const = default;
 };
 
 /// In-band Network Telemetry: per-hop egress utilization samples. Its one
@@ -184,6 +186,8 @@ struct ProbeInfo {
   std::uint16_t probed_port{0};///< the encap source port under test
   std::uint8_t hop_index{0};   ///< set by the replying switch
   bool from_destination{false};///< reply came from the final hypervisor
+
+  bool operator==(const ProbeInfo&) const = default;
 };
 
 /// Non-overlay deployments (§7): the source vswitch replaces the tenant
@@ -204,12 +208,12 @@ struct Packet {
   // from data), payload size, the INT stack, TTL, the inner ECN bits, the
   // hybrid trace flag, the cached wire hash, and the leading fields of
   // EncapHeader (tuple / present / ecn). The testbed's discovery burst
-  // keeps ~6.7 x 10^4 packets live at once in switch queues and behind
-  // host NICs (probes still queued at their own NIC stay unbuilt: see
-  // Link::enqueue_run), so the struct's size sets most of the simulator's
-  // memory footprint; the cold tail is ordered by alignment to leave no
-  // holes, and state only a few packets need lives out of line (Cold,
-  // below).
+  // keeps ~3.7 x 10^4 packets live at once, mostly probes in switch
+  // queues (probes still queued at their own NIC, and every queued probe
+  // reply, stay unbuilt: see Link::enqueue_run and Link::enqueue_reply),
+  // so the struct's size sets much of the simulator's memory footprint;
+  // the cold tail is ordered by alignment to leave no holes, and state
+  // only a few packets need lives out of line (Cold, below).
   // PacketLayout.HopFieldsInFirstLine and the static_assert after the
   // struct hold both properties.
 
@@ -318,6 +322,50 @@ struct Packet {
 
 // Three cache lines: each live packet takes one 192-byte heap chunk.
 static_assert(sizeof(Packet) <= 192, "net::Packet must fit three cache lines");
+
+/// A probe reply described instead of built: a switch's TTL-expiry reply or
+/// a destination hypervisor's reply, as its creator queues it with
+/// Link::enqueue_reply. The link builds the Packet only when its
+/// transmitter reaches the reply, so a reply waiting in a queue holds these
+/// 48 bytes instead of a 192-byte packet.
+struct ProbeReply {
+  static constexpr std::uint32_t kPayload = 64;
+  static constexpr std::uint32_t kWireSize = kPayload + Packet::kHeaderBytes;
+
+  std::uint64_t uid{0};  ///< reserved with PacketPool::reserve_uids
+  IpAddr src{kIpNone};   ///< the answering switch or hypervisor
+  IpAddr dst{kIpNone};   ///< the prober
+  ProbeInfo probe{};
+  CongaFields conga{};   ///< a CONGA leaf's stamp, if one routed the reply
+
+  /// Node `at`'s answer to `probe`, which reached it on interface
+  /// `ingress`, carrying `uid`.
+  static ProbeReply answer(const Packet& probe, IpAddr at,
+                           std::int32_t ingress, bool from_destination,
+                           std::uint64_t uid) {
+    ProbeReply r;
+    r.uid = uid;
+    r.src = at;
+    r.dst = probe.wire_src();
+    r.probe = probe.probe;
+    r.probe.hop_ip = at;
+    r.probe.hop_ingress = ingress;
+    r.probe.from_destination = from_destination;
+    return r;
+  }
+
+  /// Fill in the reply on a freshly reset packet.
+  void build(Packet& p) const {
+    p.uid = uid;
+    p.inner.src_ip = src;
+    p.inner.dst_ip = dst;
+    p.inner.proto = Proto::kProbeReply;
+    p.payload = kPayload;
+    p.ttl = 64;
+    p.probe = probe;
+    p.conga = conga;
+  }
+};
 
 class PacketPool;
 

@@ -131,15 +131,18 @@ class PacketPool {
   std::uint64_t reused_{0};
 };
 
-/// A run of `count` packets described instead of built: packet i gets uid
-/// `first_uid + i` (reserved with PacketPool::reserve_uids) and is filled in
-/// by build(). Link::enqueue_run() queues a run as one entry and builds each
-/// packet only when its transmitter reaches it, so a burst of thousands of
-/// probes does not hold thousands of packets while it waits.
+/// Packets described instead of built: packet i gets uid uid(i) (reserved
+/// with PacketPool::reserve_uids) and is filled in by build(). A run of
+/// `count` probes numbers its uids from `first_uid`, the default uid(i); a
+/// link's queued probe replies (Link::enqueue_reply) carry their own uids,
+/// which need not be contiguous. Link::enqueue_run() queues a run as one
+/// entry and builds each packet only when its transmitter reaches it, so a
+/// burst of thousands of probes does not hold thousands of packets while
+/// it waits.
 ///
-/// The link admits a run's packets without building them, so it cannot
-/// ECN-mark them: every packet of a run has wire size `wire_size` and is not
-/// ECN-capable. make() asserts both.
+/// The link admits these packets without building them, so it cannot
+/// ECN-mark them: every packet of a recipe has wire size `wire_size` and is
+/// not ECN-capable. make() asserts both.
 class PacketRecipe {
  public:
   PacketRecipe() = default;
@@ -150,9 +153,14 @@ class PacketRecipe {
   /// Fill in packet `i` of the run on a freshly reset packet.
   virtual void build(Packet& p, std::uint32_t i) const = 0;
 
+  /// The uid of packet `i`.
+  [[nodiscard]] virtual std::uint64_t uid(std::uint32_t i) const {
+    return first_uid + i;
+  }
+
   /// Packet `i` of the run, acquired from `pool` and built.
   [[nodiscard]] PacketPtr make(PacketPool& pool, std::uint32_t i) const {
-    PacketPtr p = pool.acquire(first_uid + i);
+    PacketPtr p = pool.acquire(uid(i));
     build(*p, i);
     assert(p->wire_size() == wire_size);
     assert(!(p->encap.present ? p->encap.ecn.ect : p->ecn.ect));

@@ -1,5 +1,6 @@
 #include "net/switch.hpp"
 
+#include "net/packet_pool.hpp"
 #include "prof/prof.hpp"
 #include "telemetry/scope.hpp"
 
@@ -85,29 +86,35 @@ void Switch::receive(PacketPtr pkt, int in_port) {
 }
 
 void Switch::forward(PacketPtr pkt, int in_port) {
-  const IpAddr dst = pkt->wire_dst();
-  const PortSet* ports = route(dst);
+  if (Link* egress = egress_for(*pkt, in_port)) {
+    egress->enqueue(std::move(pkt));
+  }
+}
+
+Link* Switch::egress_for(Packet& pkt, int in_port) {
+  const PortSet* ports = route(pkt.wire_dst());
   if (ports == nullptr) {
     ++stats_.no_route_drops;
     if (telemetry::enabled()) cells_.no_route_drops->add();
     if (auto* fr = telemetry::flight()) {
-      fr->on_drop(pkt->uid, id(), name(),
+      fr->on_drop(pkt.uid, id(), name(),
                   telemetry::JourneyOutcome::kDropNoRoute, sim_.now());
     }
-    return;
+    return nullptr;
   }
-  const int egress = select_port(*pkt, *ports, in_port);
-  on_forward(*pkt, egress, in_port);
+  const int egress = select_port(pkt, *ports, in_port);
+  on_forward(pkt, egress, in_port);
   ++stats_.forwarded;
   if (telemetry::enabled()) cells_.forwarded->add();
-  if (auto* fr = telemetry::flight(); fr != nullptr && fr->wants(pkt->uid)) {
+  Link* l = port(egress);
+  if (auto* fr = telemetry::flight(); fr != nullptr && fr->wants(pkt.uid)) {
     // Queue depth and ECN decision are recorded as the egress queue will see
-    // this packet: the enqueue below applies exactly would_mark()'s condition.
-    Link* l = port(egress);
-    fr->on_hop(pkt->uid, id(), name(), in_port, egress, l->queue_bytes(),
-               l->would_mark(*pkt), sim_.now());
+    // this packet: the caller's enqueue applies exactly would_mark()'s
+    // condition.
+    fr->on_hop(pkt.uid, id(), name(), in_port, egress, l->queue_bytes(),
+               l->would_mark(pkt), sim_.now());
   }
-  port(egress)->enqueue(std::move(pkt));
+  return l;
 }
 
 int Switch::select_port(const Packet& pkt, const PortSet& ports,
@@ -124,18 +131,18 @@ void Switch::send_probe_reply(const Packet& probe, int in_port) {
   // Models the ICMP Time-Exceeded message a real switch would emit: a small
   // packet routed back to the prober, identifying the ingress interface it
   // arrived on (which is what lets traceroute tell parallel links apart).
-  auto reply = make_packet(sim_);
-  reply->inner.src_ip = ip();
-  reply->inner.dst_ip = probe.wire_src();
-  reply->inner.proto = Proto::kProbeReply;
-  reply->payload = 64;
-  reply->ttl = 64;
-  reply->probe = probe.probe;
-  reply->probe.hop_ip = ip();
-  reply->probe.hop_ingress = in_port;
-  reply->probe.from_destination = false;
+  ProbeReply reply = ProbeReply::answer(
+      probe, ip(), in_port, false, PacketPool::of(sim_).reserve_uids(1));
   ++stats_.probe_replies;
-  forward(std::move(reply), -1);
+  // Route the reply as a packet on the stack, so select_port and on_forward
+  // see it as they would a built one, then queue its descriptor with
+  // whatever on_forward stamped (a CONGA leaf's header).
+  Packet routed;
+  reply.build(routed);
+  if (Link* egress = egress_for(routed, -1)) {
+    reply.conga = routed.conga;
+    egress->enqueue_reply(reply);
+  }
 }
 
 }  // namespace clove::net

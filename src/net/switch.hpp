@@ -124,6 +124,11 @@ class Switch : public Node {
   virtual void on_forward(Packet& pkt, int egress_port, int in_port);
 
   void forward(PacketPtr pkt, int in_port);
+  /// Route `pkt` as forward() does, up to its enqueue: the egress link, or
+  /// null when there is no route (the drop is counted here).
+  Link* egress_for(Packet& pkt, int in_port);
+  /// Answer a probe whose TTL expired here; the reply is queued unbuilt
+  /// (Link::enqueue_reply).
   void send_probe_reply(const Packet& probe, int in_port);
 
   sim::Simulator& sim_;

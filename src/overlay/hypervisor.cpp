@@ -110,6 +110,11 @@ void Hypervisor::nic_send(std::shared_ptr<const net::PacketRecipe> run) {
   ports_[0]->enqueue_run(std::move(run));
 }
 
+void Hypervisor::nic_send(const net::ProbeReply& reply) {
+  if (port_count() == 0) return;  // unwired host (unit tests)
+  ports_[0]->enqueue_reply(reply);
+}
+
 // ---------------------------------------------------------------------------
 // Egress: VM -> vswitch -> NIC
 // ---------------------------------------------------------------------------
@@ -259,27 +264,20 @@ void Hypervisor::receive(net::PacketPtr pkt, int /*in_port*/) {
     return;
   }
   if (pkt->inner.proto == net::Proto::kProbe) {
-    handle_probe(std::move(pkt));
+    handle_probe(*pkt);
     return;
   }
   handle_data(std::move(pkt));
 }
 
-void Hypervisor::handle_probe(net::PacketPtr pkt) {
+void Hypervisor::handle_probe(const net::Packet& probe) {
   // A traceroute probe survived to the destination hypervisor: answer it so
   // the prober learns the path is complete (§3.1).
-  auto reply = net::make_packet(sim_);
-  reply->inner.src_ip = ip();
-  reply->inner.dst_ip = pkt->wire_src();
-  reply->inner.proto = net::Proto::kProbeReply;
-  reply->payload = 64;
-  reply->ttl = 64;
-  reply->probe = pkt->probe;
-  reply->probe.hop_ip = ip();
-  reply->probe.hop_ingress = 0;  // the single NIC interface
-  reply->probe.from_destination = true;
+  // It arrived on the single NIC interface, 0.
+  const net::ProbeReply reply = net::ProbeReply::answer(
+      probe, ip(), 0, true, net::PacketPool::of(sim_).reserve_uids(1));
   ++stats_.dest_probe_replies;
-  nic_send(std::move(reply));
+  nic_send(reply);
 }
 
 void Hypervisor::handle_probe_reply(const net::Packet& pkt) {

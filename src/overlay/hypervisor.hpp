@@ -142,7 +142,8 @@ class Hypervisor : public net::Node,
 
   void nic_send(net::PacketPtr pkt);
   void nic_send(std::shared_ptr<const net::PacketRecipe> run);
-  void handle_probe(net::PacketPtr pkt);
+  void nic_send(const net::ProbeReply& reply);
+  void handle_probe(const net::Packet& probe);
   void handle_probe_reply(const net::Packet& pkt);
   void handle_data(net::PacketPtr pkt);
   void deliver_to_vm(net::PacketPtr pkt);

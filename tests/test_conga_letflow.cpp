@@ -85,6 +85,27 @@ TEST_F(CongaFixture, StampsCongaHeaderOnFabricEntry) {
   EXPECT_LT(p.conga.lb_tag, 4);
 }
 
+// A TTL-expiry reply is routed on the stack and queued as a descriptor
+// (Link::enqueue_reply); the CONGA header the leaf stamps on it must ride
+// in the descriptor into the packet the uplink builds.
+TEST_F(CongaFixture, TtlExpiryReplyKeepsLeafStamp) {
+  auto probe = make_data(tuple(src->ip(), dst->ip(), 4242), 0, 0);
+  probe->inner.proto = Proto::kProbe;
+  probe->ttl = 3;  // expires at the destination leaf
+  probe->probe.probe_id = 9;
+  probe->probe.hop_index = 3;
+  src->port(0)->enqueue(std::move(probe));
+  sim.run();
+  ASSERT_EQ(src->received.size(), 1u);
+  const Packet& reply = *src->received[0];
+  EXPECT_EQ(reply.inner.proto, Proto::kProbeReply);
+  EXPECT_EQ(reply.probe.hop_ip, leaves[1]->ip());
+  EXPECT_TRUE(reply.conga.present);
+  EXPECT_EQ(reply.conga.src_leaf, 1u);
+  EXPECT_LT(reply.conga.lb_tag, 4);
+  EXPECT_TRUE(reply.conga.fb_present);
+}
+
 TEST_F(CongaFixture, LocalTrafficNotStamped) {
   auto* peer = static_cast<SinkNode*>(fabric.hosts_by_leaf[0][1]);
   src->port(0)->enqueue(make_data(tuple(src->ip(), peer->ip(), 1), 0, 100));

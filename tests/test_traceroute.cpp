@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <set>
 #include <unordered_set>
 
@@ -451,12 +452,69 @@ TEST(DiscoveryRound, TestbedFirstRoundIsPinned) {
   EXPECT_EQ(tb.simulator().events_processed(), 1072988u);
   EXPECT_EQ(overflow, 18092u);
   EXPECT_EQ(probes, 98304u);
-  // Probes queued at a NIC stay unbuilt until its transmitter reaches them
-  // (net::Link::enqueue_run), so the burst never holds all 98,304 at once.
-  EXPECT_EQ(net::PacketPool::of(tb.simulator()).allocated(), 67170u);
+  // Probes queued at a NIC, and every queued reply, stay unbuilt until a
+  // transmitter reaches them (net::Link::enqueue_run and enqueue_reply), so
+  // the burst never holds all 98,304 probes, or their replies, at once.
+  EXPECT_EQ(net::PacketPool::of(tb.simulator()).allocated(), 37187u);
   EXPECT_EQ(pairs, 491);
   EXPECT_EQ(paths, 1777u);
   EXPECT_EQ(h, 0xfd3b028f9dee1494ull);
+}
+
+// A queued reply is a descriptor in its link's FIFO, trimmed as the
+// transmitter builds it, so neither the packet pool nor a link's reply
+// storage grows with the number of rounds. Later rounds are jittered over
+// the probe interval, so none needs more packets than the first. A link's
+// FIFO keeps the capacity of its largest backlog, which a later round can
+// set (L2->h2-16 goes from 8 to 32 descriptors in round 2), so each link is
+// held to its size after round 2: a never-trimmed FIFO would grow by a
+// round's replies in round 3.
+TEST(DiscoveryRound, ReplyStorageDoesNotGrowWithRounds) {
+  harness::ExperimentConfig cfg = harness::make_testbed_profile();
+  cfg.scheme = harness::Scheme::kCloveEcn;
+  cfg.asymmetric = true;
+  cfg.seed = 1;
+  cfg.discovery.probe_interval = 50 * sim::kMillisecond;
+  harness::Testbed tb(cfg);
+  tb.start_discovery();
+  const net::PacketPool& pool = net::PacketPool::of(tb.simulator());
+
+  const auto probes = [&tb] {
+    std::uint64_t n = 0;
+    for (Hypervisor* hv : tb.clients()) n += hv->discovery().probes_sent();
+    for (Hypervisor* hv : tb.servers()) n += hv->discovery().probes_sent();
+    return n;
+  };
+  const auto reply_storage = [&tb] {
+    std::vector<std::size_t> bytes;
+    for (const auto& l : tb.topology().links()) {
+      bytes.push_back(l->reply_storage_bytes());
+    }
+    return bytes;
+  };
+
+  // Round k collects over 20 ms and the next starts 45-55 ms later: round 2
+  // starts at 65 ms or after, round 3 ends by 170 ms, round 4 starts at
+  // 195 ms or after.
+  tb.simulator().run(40 * sim::kMillisecond);
+  const std::uint64_t round = probes();
+  ASSERT_EQ(round, 98304u);
+  const std::uint64_t allocated = pool.allocated();
+  const std::vector<std::size_t> first = reply_storage();
+  EXPECT_GT(*std::max_element(first.begin(), first.end()), 0u);
+
+  tb.simulator().run(120 * sim::kMillisecond);
+  ASSERT_EQ(probes(), 2 * round);
+  const std::vector<std::size_t> second = reply_storage();
+
+  tb.simulator().run(185 * sim::kMillisecond);
+  ASSERT_EQ(probes(), 3 * round);
+  EXPECT_LE(pool.allocated(), allocated);
+  const std::vector<std::size_t> third = reply_storage();
+  ASSERT_EQ(third.size(), second.size());
+  for (std::size_t i = 0; i < third.size(); ++i) {
+    EXPECT_LE(third[i], second[i]) << tb.topology().links()[i]->name();
+  }
 }
 
 }  // namespace
