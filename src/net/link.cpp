@@ -278,6 +278,17 @@ void Link::deliver_front() {
     dst_->receive(std::move(pkt), dst_in_port_);
   }
   if (!propagating_.empty()) {
+    // The new front is delivered at least one serialization time from
+    // now, and in a deep burst its lines have left the cache since its last
+    // hop wrote them. Fetch the whole packet now, so the next hop's first
+    // reads hit: the switch's TTL and route fields, the hypervisor's
+    // dispatch, and the probe fields of line 3.
+    const auto* front =
+        reinterpret_cast<const char*>(propagating_.front().second.get());
+    for (std::size_t at = 0; at < sizeof(Packet);
+         at += PacketPool::kLineBytes) {
+      __builtin_prefetch(front + at);
+    }
     prop_wake_ = sim_.schedule_at(propagating_.front().first,
                                   [this] { deliver_front(); });
   }

@@ -320,7 +320,8 @@ struct Packet {
   friend struct PacketLayoutPeer;  // the layout test reads the cache's place
 };
 
-// Three cache lines: each live packet takes one 192-byte heap chunk.
+// Three cache lines: each pooled packet takes one 192-byte, line-aligned
+// slot of its PacketPool's slabs.
 static_assert(sizeof(Packet) <= 192, "net::Packet must fit three cache lines");
 
 /// A probe reply described instead of built: a switch's TTL-expiry reply or
@@ -371,8 +372,9 @@ class PacketPool;
 
 /// Deleter behind PacketPtr: returns the packet to its owning pool, or plain
 /// `delete`s it when there is none (default-constructed, as for the heap
-/// make_packet() below or a PacketPtr rebuilt from a released raw pointer —
-/// pool packets are individually `new`ed, so either path is always safe).
+/// make_packet() below). A pool packet lives in a slot of the pool's slabs,
+/// so this deleter is its only way back: never rewrap a pool packet's raw
+/// pointer with a default deleter; move the PacketPtr instead.
 struct PacketDeleter {
   PacketPool* pool{nullptr};
   void operator()(Packet* p) const noexcept;

@@ -1,13 +1,27 @@
 #pragma once
 
+#include <algorithm>
 #include <cassert>
+#include <cstddef>
 #include <cstdint>
 #include <deque>
+#include <memory>
 #include <new>
 #include <vector>
 
 #include "net/packet.hpp"
 #include "sim/simulator.hpp"
+
+#if defined(__SANITIZE_ADDRESS__)
+#define CLOVE_POOL_ASAN 1
+#elif defined(__has_feature)
+#if __has_feature(address_sanitizer)
+#define CLOVE_POOL_ASAN 1
+#endif
+#endif
+#ifdef CLOVE_POOL_ASAN
+#include <sanitizer/asan_interface.h>
+#endif
 
 namespace clove::net {
 
@@ -16,45 +30,52 @@ namespace clove::net {
 /// of packets cycles through this pool with zero heap traffic — acquire()
 /// pops the freelist and the PacketPtr deleter pushes it back.
 ///
-/// Packets are individually `new`ed (never subdivided from slabs), so a
-/// packet that leaves the pool economy — released raw and rewrapped with a
-/// default-constructed deleter, as some tests do — is still safely
-/// `delete`able; it simply stops being recycled.
+/// Packets live in the pool's own slabs: kSlabPackets slots of kSlotBytes
+/// each, aligned to a cache line, so every packet starts on a line and the
+/// fields a forwarding hop reads (Packet's first 64 bytes) never straddle
+/// two. A slab is carved one slot per new packet and freed only with the
+/// pool. Pool packets therefore cannot be plain-`delete`d: the PacketPtr
+/// deleter is the only way back. Under AddressSanitizer a released or
+/// not-yet-carved slot is poisoned, so a read of a released packet is
+/// reported.
 ///
 /// The pool also owns every packet's cold record (Packet::Cold): cold()
 /// hands one out on demand and release() takes it back with the packet, so
 /// records recycle through their own freelist with no steady-state heap
-/// traffic either. A packet that leaves the pool economy keeps its record
-/// reserved until the pool itself is destroyed, which frees it.
+/// traffic either.
 ///
 /// Like the Simulator that owns it, a pool is single-threaded; parallel
 /// sweeps give every Simulator its own pool (see Simulator::extension()).
 class PacketPool {
  public:
+  static constexpr std::size_t kLineBytes = 64;
+  /// A packet's slot: sizeof(Packet) rounded up to whole cache lines.
+  static constexpr std::size_t kSlotBytes =
+      (sizeof(Packet) + kLineBytes - 1) / kLineBytes * kLineBytes;
+  static constexpr std::size_t kSlabPackets = 256;
+  static constexpr std::size_t kSlabBytes = kSlabPackets * kSlotBytes;
+
   PacketPool() = default;
-  ~PacketPool() {
-    for (Packet* p : free_) delete p;
-  }
   PacketPool(const PacketPool&) = delete;
   PacketPool& operator=(const PacketPool&) = delete;
 
   /// A reset packet with a fresh per-pool uid. Reuses a freed packet when
-  /// one is available; allocates otherwise.
+  /// one is available; carves a new one otherwise.
   [[nodiscard]] PacketPtr acquire() { return acquire(++next_uid_); }
 
   /// A reset packet carrying `uid`, which reserve_uids() handed out.
   [[nodiscard]] PacketPtr acquire(std::uint64_t uid) {
     Packet* p;
     if (free_.empty()) {
-      p = new Packet;
+      p = carve();
       ++allocated_;
     } else {
       p = free_.back();
       free_.pop_back();
-      p->~Packet();
-      ::new (static_cast<void*>(p)) Packet;  // one in-place write, no temporary
       ++reused_;
     }
+    unpoison(p, sizeof(Packet));
+    ::new (static_cast<void*>(p)) Packet;  // one in-place write, no temporary
     p->uid = uid;
     return PacketPtr(p, PacketDeleter{this});
   }
@@ -72,11 +93,9 @@ class PacketPool {
     if (p->cold_ != 0) {
       free_cold_.push_back(p->cold_);  // cold() reserved room: no throw
     }
-    try {
-      free_.push_back(p);
-    } catch (...) {
-      delete p;  // freelist growth failed; fall back to the heap path
-    }
+    p->~Packet();
+    poison(p, kSlotBytes);
+    free_.push_back(p);  // carve() reserved room for every slot: no throw
   }
 
   /// `p`'s cold record, taking a reset one from the pool if it has none.
@@ -104,12 +123,16 @@ class PacketPool {
     return p.cold_ == 0 ? nullptr : &cold_[p.cold_ - 1];
   }
 
-  /// Packets created with `new` over the pool's lifetime (the concurrency
-  /// high-watermark, in steady state).
+  /// Packets carved from the slabs over the pool's lifetime (the
+  /// concurrency high-watermark, in steady state).
   [[nodiscard]] std::uint64_t allocated() const { return allocated_; }
-  /// Acquisitions served from the freelist instead of the heap.
+  /// Acquisitions served from the freelist instead of a new slot.
   [[nodiscard]] std::uint64_t reused() const { return reused_; }
   [[nodiscard]] std::size_t free_count() const { return free_.size(); }
+  /// Packet slots in the slabs held, carved or not.
+  [[nodiscard]] std::size_t capacity() const {
+    return slabs_.size() * kSlabPackets;
+  }
 
   /// The pool attached to `sim` (created on first use). Rides the
   /// Simulator's extension slot so the sim layer stays net-agnostic while
@@ -123,6 +146,48 @@ class PacketPool {
   }
 
  private:
+  static void poison([[maybe_unused]] void* at,
+                     [[maybe_unused]] std::size_t bytes) {
+#ifdef CLOVE_POOL_ASAN
+    ASAN_POISON_MEMORY_REGION(at, bytes);
+#endif
+  }
+  static void unpoison([[maybe_unused]] void* at,
+                       [[maybe_unused]] std::size_t bytes) {
+#ifdef CLOVE_POOL_ASAN
+    ASAN_UNPOISON_MEMORY_REGION(at, bytes);
+#endif
+  }
+
+  struct SlabFree {
+    void operator()(std::byte* slab) const noexcept {
+      unpoison(slab, kSlabBytes);
+      ::operator delete(slab, std::align_val_t{kLineBytes});
+    }
+  };
+  using Slab = std::unique_ptr<std::byte, SlabFree>;
+
+  /// The next uncarved slot, opening a slab when the last one is full.
+  Packet* carve() {
+    if (next_slot_ == kSlabPackets) {
+      Slab slab(static_cast<std::byte*>(
+          ::operator new(kSlabBytes, std::align_val_t{kLineBytes})));
+      // Room to free every slot, so release() never allocates; grown
+      // geometrically, so the copies stay linear in the pool's size.
+      const std::size_t slots = capacity() + kSlabPackets;
+      if (free_.capacity() < slots) {
+        free_.reserve(std::max(slots, 2 * free_.capacity()));
+      }
+      poison(slab.get(), kSlabBytes);
+      slabs_.push_back(std::move(slab));
+      next_slot_ = 0;
+    }
+    return reinterpret_cast<Packet*>(slabs_.back().get() +
+                                     kSlotBytes * next_slot_++);
+  }
+
+  std::vector<Slab> slabs_;
+  std::size_t next_slot_{kSlabPackets};  ///< in slabs_.back()
   std::vector<Packet*> free_;
   std::deque<Packet::Cold> cold_;           ///< handle h names cold_[h - 1]
   std::vector<std::uint32_t> free_cold_;

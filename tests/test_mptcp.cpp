@@ -5,6 +5,7 @@
 
 #include <memory>
 #include <set>
+#include <utility>
 
 #include "sim/simulator.hpp"
 #include "test_util.hpp"
@@ -51,16 +52,18 @@ class MptcpPipe : public ::testing::Test {
                  .first;
       }
       TcpReceiver* rx = it->second.get();
-      net::Packet* raw = pkt.release();
-      sim.schedule_in(delay, [rx, raw] { rx->on_packet(net::PacketPtr(raw)); });
+      sim.schedule_in(delay, [rx, p = std::move(pkt)]() mutable {
+        rx->on_packet(std::move(p));
+      });
     } else {
       // ACK back to the matching subflow sender.
       const net::FiveTuple key = pkt->inner.reversed();
       auto it = senders.find(key);
       if (it == senders.end()) return;
       TcpSender* tx = it->second;
-      net::Packet* raw = pkt.release();
-      sim.schedule_in(delay, [tx, raw] { tx->on_packet(net::PacketPtr(raw)); });
+      sim.schedule_in(delay, [tx, p = std::move(pkt)]() mutable {
+        tx->on_packet(std::move(p));
+      });
     }
   }
 

@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstddef>
+#include <cstdint>
 #include <memory>
 #include <set>
 #include <unordered_set>
@@ -152,7 +154,9 @@ TEST(PacketLayout, HopFieldsInFirstLine) {
   // Link::enqueue/start_tx/on_tx_done/deliver_front, Hypervisor::receive's
   // dispatch — must end within the packet's first 64 bytes. Offsets come
   // from address differences on a live pooled packet (Packet is not
-  // standard-layout, so offsetof is off the table).
+  // standard-layout, so offsetof is off the table). On a pooled packet
+  // they must also share one hardware line by address: the pool's slots
+  // start on a line.
   sim::Simulator sim;
   PacketPtr p = make_packet(sim);
   const char* base = reinterpret_cast<const char*>(p.get());
@@ -175,11 +179,17 @@ TEST(PacketLayout, HopFieldsInFirstLine) {
       {"int_stack (enabled flag and running max)", &p->int_stack,
        sizeof(p->int_stack)},
   };
+  auto first = reinterpret_cast<std::uintptr_t>(base);
+  auto last = first;
   for (const Field& f : hot) {
     const auto offset =
         static_cast<std::size_t>(static_cast<const char*>(f.at) - base);
     EXPECT_LE(offset + f.size, 64u) << f.name << " at byte " << offset;
+    const auto at = reinterpret_cast<std::uintptr_t>(f.at);
+    first = std::min(first, at);
+    last = std::max(last, at + f.size - 1);
   }
+  EXPECT_EQ(first / 64, last / 64) << "the hot bytes straddle two lines";
 }
 
 // ---------------------------------------------------------------------------
@@ -283,38 +293,96 @@ TEST(PacketPool, UidSequenceIsPerSimulator) {
   EXPECT_EQ(ub, (std::vector<std::uint64_t>{2, 4, 6, 8, 10}));
 }
 
-TEST(PacketPool, ReleasedRawPointerIsPlainDeletable) {
-  // Tests and tools sometimes release() a PacketPtr and rewrap it with a
-  // default-constructed deleter; pool packets are individually new'ed, so
-  // that plain delete must stay valid (the packet just leaves the pool).
+TEST(PacketPool, SlabPacketsAreLineAligned) {
+  // The pool carves packets from line-aligned slabs: every packet starts on
+  // a 64-byte line, and uids, the creation count and LIFO reuse are what
+  // they were when each packet was a heap chunk of its own.
   sim::Simulator sim;
-  auto p = make_packet(sim);
-  PacketPtr rewrapped(p.release());  // default deleter: no pool
-  rewrapped.reset();                 // plain delete — must not touch the pool
-  EXPECT_EQ(PacketPool::of(sim).free_count(), 0u);
+  auto& pool = PacketPool::of(sim);
+  constexpr std::size_t kCount = 3 * PacketPool::kSlabPackets + 1;
+  std::vector<PacketPtr> live;
+  for (std::size_t i = 0; i < kCount; ++i) {
+    live.push_back(pool.acquire());
+    const auto at = reinterpret_cast<std::uintptr_t>(live.back().get());
+    EXPECT_EQ(at % 64, 0u) << "packet " << i;
+    EXPECT_EQ(live.back()->uid, i + 1);
+  }
+  EXPECT_EQ(pool.allocated(), kCount);
+  EXPECT_EQ(pool.reused(), 0u);
+  EXPECT_EQ(pool.capacity(), 4 * PacketPool::kSlabPackets);
+  std::set<const Packet*> distinct;
+  for (const PacketPtr& p : live) distinct.insert(p.get());
+  EXPECT_EQ(distinct.size(), kCount);
+
+  // Release three packets from different slabs, then acquire three: the
+  // last released comes back first.
+  const Packet* a = live[5].get();
+  const Packet* b = live[300].get();
+  const Packet* c = live[600].get();
+  live[5].reset();
+  live[300].reset();
+  live[600].reset();
+  EXPECT_EQ(pool.free_count(), 3u);
+  live[5] = pool.acquire();
+  live[300] = pool.acquire();
+  live[600] = pool.acquire();
+  EXPECT_EQ(live[5].get(), c);
+  EXPECT_EQ(live[300].get(), b);
+  EXPECT_EQ(live[600].get(), a);
+  EXPECT_EQ(live[600]->uid, kCount + 3);
+  EXPECT_EQ(pool.allocated(), kCount);
+  EXPECT_EQ(pool.reused(), 3u);
+  EXPECT_EQ(pool.capacity(), 4 * PacketPool::kSlabPackets);
 }
 
-TEST(PacketPool, ReleasedRawPacketLeavesItsColdRecordToThePool) {
-  // A packet with a SACK and trace record that leaves the pool economy is
-  // plain-deleted; its record stays reserved (never handed to another
-  // packet) until the pool is destroyed with the Simulator, which frees it.
-  // Run under ASan this shows neither a leak nor a use after free.
+TEST(PacketPool, HeapPacketsArePlainDeletable) {
+  // make_packet() without a Simulator builds a heap packet whose deleter
+  // names no pool, so a raw pointer released from it may be rewrapped with
+  // a default deleter and plainly deleted. (A pool packet may not: it lives
+  // in a slab slot, and its deleter is its only way back.)
+  PacketPtr p = make_packet();
+  EXPECT_EQ(p.get_deleter().pool, nullptr);
+  PacketPtr rewrapped(p.release());
+  rewrapped.reset();
+  EXPECT_EQ(rewrapped, nullptr);
+}
+
+TEST(PacketPool, DestructionFreesSlabsAndColdRecords) {
+  // Packets in several slabs, some carrying SACK and trace records, some
+  // released and some still queued in an event when the Simulator goes:
+  // its pool frees every slab and record. Run under ASan this shows neither
+  // a leak nor a use after free.
   auto simulator = std::make_unique<sim::Simulator>();
   auto& pool = PacketPool::of(*simulator);
-  auto p = make_packet(*simulator);
-  Packet::Cold& c = pool.cold(*p);
-  c.sack_count = 1;
-  c.trace.push(5);
-  PacketPtr rewrapped(p.release());  // default deleter: no pool
-  rewrapped.reset();
-  EXPECT_EQ(pool.free_count(), 0u);
-  for (int i = 0; i < 3; ++i) {
-    auto q = make_packet(*simulator);
-    EXPECT_NE(&pool.cold(*q), &c);  // the orphaned record is never reused
+  std::vector<PacketPtr> live;
+  for (std::size_t i = 0; i < 2 * PacketPool::kSlabPackets + 1; ++i) {
+    live.push_back(pool.acquire());
+    if (i % 7 == 0) pool.cold(*live.back()).trace.push(5);
   }
-  EXPECT_EQ(c.trace.count, 1);  // and still holds what it held
-  simulator.reset();  // destroys the pool and every record it owns
+  EXPECT_EQ(pool.capacity(), 3 * PacketPool::kSlabPackets);
+  for (std::size_t i = 0; i < live.size(); i += 2) live[i].reset();
+  simulator->schedule_in(1, [p = std::move(live[1])] { (void)p; });
+  live.clear();
+  EXPECT_EQ(pool.free_count(), 2 * PacketPool::kSlabPackets);
+  simulator.reset();  // the pending event releases into the live pool first
 }
+
+#ifdef CLOVE_POOL_ASAN
+TEST(PacketPoolDeathTest, ReadOfReleasedPacketIsReported) {
+  // Under AddressSanitizer a released slot stays poisoned until acquire()
+  // builds a packet in it again, so a read through a stale pointer fails.
+  EXPECT_DEATH(
+      {
+        sim::Simulator sim;
+        PacketPtr p = make_packet(sim);
+        const Packet* stale = p.get();
+        p.reset();
+        volatile std::uint8_t ttl = stale->ttl;
+        (void)ttl;
+      },
+      "use-after-poison");
+}
+#endif
 
 TEST(PacketPool, AttachesToSimulatorExtensionSlot) {
   sim::Simulator sim;

@@ -434,8 +434,9 @@ class SackPipe : public ::testing::Test {
       if (drop_every > 0 && data_seen % drop_every == 0) return;
     }
     TcpEndpoint* dst = (side == 0) ? rx_ep : tx_ep;
-    net::Packet* raw = pkt.release();
-    sim.schedule_in(delay, [dst, raw] { dst->on_packet(net::PacketPtr(raw)); });
+    sim.schedule_in(delay, [dst, p = std::move(pkt)]() mutable {
+      dst->on_packet(std::move(p));
+    });
   }
 
   /// Returns completion time of a 3MB transfer under the configured losses.
