@@ -1,18 +1,10 @@
 #pragma once
 
-// Shared plumbing for the bench binaries: the JSON artifact.
-//
-// Scale knobs (environment, read by harness::BenchScale::from_env()):
-//   CLOVE_JOBS     jobs per connection   (default 40; paper §5 used 50000)
-//   CLOVE_SEEDS    seeds averaged        (default 1;  paper used 3)
-//   CLOVE_CONNS    connections/client    (default 2;  §6 used 3)
-//   CLOVE_THREADS  parallelism of harness::ParallelRunner (default: hardware
-//                  threads; 1 = serial). Results and artifacts keep sweep
-//                  order and are bit-identical for any thread count.
-//
-// Machine-readable artifacts: set CLOVE_JSON_OUT=<dir> and each bench writes
-// <dir>/<bench>.json on exit. Declaring a bench::Artifact near the top of
-// main() is all a bench needs; it records points and values into it.
+// Shared plumbing for the bench binaries: the JSON artifact. Each bench's
+// main() reads the CLOVE_* knobs once (harness::RunEnv; README.md lists
+// them) and declares a bench::Artifact with the RunEnv's directory and
+// profiler mode; with CLOVE_JSON_OUT=<dir> it writes <dir>/<bench>.json on
+// exit.
 
 #include <chrono>
 #include <cstdio>
@@ -20,25 +12,30 @@
 #include <utility>
 
 #include "harness/experiment.hpp"
+#include "harness/run_env.hpp"
 #include "prof/prof.hpp"
 #include "telemetry/artifact.hpp"
 #include "telemetry/scope.hpp"
 
 namespace clove::bench {
 
-/// Collects every point a bench sweeps and, when CLOVE_JSON_OUT is set,
-/// writes `<dir>/<bench>.json` on destruction. Constructing one enables
-/// telemetry when artifacts are requested, so snapshots carry data.
-/// current() is the most recently constructed instance.
+/// Collects every point a bench sweeps and, when `dir` is not empty, writes
+/// `<dir>/<bench>.json` on destruction. Constructing one enables telemetry
+/// when artifacts are requested, so snapshots carry data, and installs a
+/// session profiler in `prof_mode`. current() is the most recently
+/// constructed instance.
 class Artifact {
  public:
   Artifact(std::string name, std::string paper_ref,
-           const harness::BenchScale& scale)
+           const harness::BenchScale& scale, std::string dir,
+           prof::Mode prof_mode)
       : name_(std::move(name)),
+        dir_(std::move(dir)),
         doc_(telemetry::Json::object()),
         points_(telemetry::Json::array()),
         values_(telemetry::Json::array()),
-        start_(std::chrono::steady_clock::now()) {
+        start_(std::chrono::steady_clock::now()),
+        prof_session_(prof_mode) {
     doc_.set("bench", telemetry::Json(name_));
     doc_.set("reproduces", telemetry::Json(paper_ref));
     scale_.set("jobs_per_conn", telemetry::Json(scale.jobs_per_conn));
@@ -47,9 +44,7 @@ class Artifact {
     doc_.set("scale", scale_);
     // Artifacts without telemetry would carry all-zero counters; requesting
     // JSON output implies wanting the instrumented values.
-    if (!telemetry::json_out_dir().empty()) {
-      telemetry::current_scope().set_enabled(true);
-    }
+    if (!dir_.empty()) telemetry::current_scope().set_enabled(true);
     current_ = this;
   }
 
@@ -58,8 +53,7 @@ class Artifact {
 
   ~Artifact() {
     if (current_ == this) current_ = nullptr;
-    const std::string dir = telemetry::json_out_dir();
-    if (dir.empty()) return;
+    if (dir_.empty()) return;
     const double wall_s =
         std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                       start_)
@@ -68,8 +62,8 @@ class Artifact {
 
     // Engine observability (DESIGN.md §10): every bench artifact carries the
     // run's event throughput, queue pressure, and process peak RSS — and,
-    // when a profiler is installed (CLOVE_PROF), its self-profile section
-    // plus flamegraph/Chrome-trace side files.
+    // when a profiler is installed, its self-profile section plus
+    // flamegraph/Chrome-trace side files.
     const double rss_mb = prof::peak_rss_mb();
     telemetry::Json eng = telemetry::Json::object();
     eng.set("events", telemetry::Json(static_cast<double>(total_events_)));
@@ -84,12 +78,10 @@ class Artifact {
       std::string err;
       telemetry::Json sp = telemetry::Json::parse(p->to_json(), &err);
       if (err.empty()) eng.set("self_profile", std::move(sp));
-      const std::string prof_dir = prof::out_dir_from_env(dir);
       if (p->mode() == prof::Mode::kFull) {
-        telemetry::write_text_artifact(prof_dir, "PROF_" + name_ + ".folded",
+        telemetry::write_text_artifact(dir_, "PROF_" + name_ + ".folded",
                                        p->folded());
-        telemetry::write_text_artifact(prof_dir,
-                                       "PROF_" + name_ + "_trace.json",
+        telemetry::write_text_artifact(dir_, "PROF_" + name_ + "_trace.json",
                                        p->chrome_trace());
       }
     }
@@ -103,12 +95,12 @@ class Artifact {
 
     doc_.set("points", points_);
     if (values_.size() > 0) doc_.set("values", values_);
-    const std::string path = telemetry::write_json_artifact(dir, name_, doc_);
+    const std::string path = telemetry::write_json_artifact(dir_, name_, doc_);
     if (!path.empty()) {
       std::printf("\nartifact: %s\n", path.c_str());
     } else {
       std::fprintf(stderr, "\nwarning: CLOVE_JSON_OUT=%s is not writable, %s.json not saved\n",
-                   dir.c_str(), name_.c_str());
+                   dir_.c_str(), name_.c_str());
     }
   }
 
@@ -141,12 +133,13 @@ class Artifact {
   inline static Artifact* current_ = nullptr;
 
   std::string name_;
+  std::string dir_;
   telemetry::Json doc_;
   telemetry::Json scale_{telemetry::Json::object()};
   telemetry::Json points_;
   telemetry::Json values_;
   std::chrono::steady_clock::time_point start_;
-  /// Installs a Profiler for the bench's lifetime when CLOVE_PROF is set —
+  /// Installs a Profiler for the bench's lifetime unless the mode is off —
   /// declaring the Artifact makes the binary profilable, nothing else to do.
   prof::SessionGuard prof_session_;
   std::uint64_t total_events_{0};
@@ -161,12 +154,12 @@ class Artifact {
   }
   /// Opt out of the blended `engine.events_per_sec` values row (the JSON
   /// `engine` section keeps it either way). For benches whose phases are
-  /// gated on env knobs (bench_scale's CLOVE_HYBRID A/B arm) the blend
+  /// gated on knobs (bench_scale's CLOVE_HYBRID A/B arm) the blend
   /// mixes different work per CI matrix leg, so no one committed floor fits
   /// every leg — their per-phase *_per_sec rows carry the throughput guard
   /// instead.
   void set_mirror_engine_rate(bool on) { mirror_engine_rate_ = on; }
-  /// The bench's session profiler, or null when CLOVE_PROF=off.
+  /// The bench's session profiler, or null when its mode is off.
   [[nodiscard]] prof::Profiler* profiler() { return prof_session_.profiler(); }
 };
 

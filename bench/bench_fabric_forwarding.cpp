@@ -88,14 +88,17 @@ void report_guard(const std::string& guard,
 }  // namespace
 
 int main() {
-  const auto scale = harness::BenchScale::from_env();
+  const harness::RunEnv env = harness::RunEnv::from_env();
+  env.apply_process();
   bench::Artifact artifact("BENCH_fabric",
-                           "fabric forwarding perf baseline (macro)", scale);
+                           "fabric forwarding perf baseline (macro)",
+                           env.scale, env.json_out,
+                           env.prof.value_or(prof::Mode::kOff));
   // Telemetry counters would price the instrumentation, not the datapath;
   // the figure benches measure that separately.
   telemetry::current_scope().set_enabled(false);
 
-  const int rounds = bench::rounds_from_env(256);
+  const int rounds = env.fabric_rounds > 0 ? env.fabric_rounds : 256;
   std::printf("== fabric forwarding macro-bench ==\n");
   std::printf("rounds: %d per scenario (CLOVE_FABRIC_ROUNDS to change)\n\n",
               rounds);

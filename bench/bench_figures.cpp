@@ -7,7 +7,8 @@
 // ones (fig4b_symmetric ... ablation_workloads, BENCH_fault). Scale comes
 // from CLOVE_JOBS / CLOVE_SEEDS / CLOVE_CONNS / CLOVE_THREADS
 // (bench_common.hpp) unless a figure pins its own (BENCH_fault does), and
-// each figure writes <CLOVE_JSON_OUT>/<name>.json when that is set.
+// each figure writes <CLOVE_JSON_OUT>/<name>.json when that is set. Every
+// CLOVE_* knob is read once, here (harness::RunEnv).
 
 #include <cstdio>
 #include <exception>
@@ -43,9 +44,10 @@ int main(int argc, char** argv) {
     return 1;
   }
 
-  const auto scale = harness::BenchScale::from_env();
+  const harness::RunEnv env = harness::RunEnv::from_env();
+  env.apply_process();
   for (const bench::FigureSpec* f : selected) {
-    bench::run_figure(*f, scale);
+    bench::run_figure(*f, env);
     std::printf("\n");
   }
   return 0;

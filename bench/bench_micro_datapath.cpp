@@ -671,9 +671,11 @@ class ArtifactReporter : public benchmark::BenchmarkReporter {
 int main(int argc, char** argv) {
   benchmark::Initialize(&argc, argv);
   if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
-  const auto scale = clove::harness::BenchScale::from_env();
-  clove::bench::Artifact artifact("BENCH_micro",
-                                  "micro datapath perf baseline", scale);
+  const auto env = clove::harness::RunEnv::from_env();
+  env.apply_process();
+  clove::bench::Artifact artifact(
+      "BENCH_micro", "micro datapath perf baseline", env.scale, env.json_out,
+      env.prof.value_or(clove::prof::Mode::kOff));
   // The Artifact enables telemetry for figure benches; here it would skew the
   // plain (telemetry-off) datapath numbers, and the *_Telemetry benchmarks
   // scope their own enablement anyway.

@@ -15,7 +15,6 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <memory>
 #include <string>
 #include <vector>
@@ -112,7 +111,7 @@ HybridRun run_hybrid_arm(bool hybrid_on, const harness::BenchScale& scale) {
   }
   std::unique_ptr<hybrid::Engine> engine;
   if (hybrid_on) {
-    hybrid::HybridConfig hc = hybrid::HybridConfig::from_env();
+    hybrid::HybridConfig hc;
     hc.enabled = true;
     engine = std::make_unique<hybrid::Engine>(sim, hc);
     for (const auto& l : topo.links()) engine->add_link(l.get());
@@ -156,22 +155,22 @@ double match_ratio(double a, double b) {
 }  // namespace
 
 int main() {
+  const harness::RunEnv env = harness::RunEnv::from_env();
+  env.apply_process();
   // Profilable by default: the artifact's self-profile section and the
   // top-sink table are this bench's point. An explicit CLOVE_PROF (even
   // "off") still wins.
-  setenv("CLOVE_PROF", "summary", /*overwrite=*/0);
-
-  const auto scale = harness::BenchScale::from_env();
   bench::Artifact artifact("BENCH_scale",
                            "engine scaling ceiling (k=4 vs k=8 fat-tree)",
-                           scale);
+                           env.scale, env.json_out,
+                           env.prof.value_or(prof::Mode::kSummary));
   // The CLOVE_HYBRID gated phase makes the blended process rate
   // leg-dependent in CI's matrix; the per-topology scale_k*.events_per_sec
   // rows are the throughput guard for this bench.
   artifact.set_mirror_engine_rate(false);
   telemetry::current_scope().set_enabled(false);
 
-  const int rounds = bench::rounds_from_env(64);
+  const int rounds = env.fabric_rounds > 0 ? env.fabric_rounds : 64;
   std::printf("== engine scale observatory ==\n");
   std::printf(
       "rounds: %d per topology, batch %d pkts/host "
@@ -199,8 +198,9 @@ int main() {
   // elephant middles promoted to the fluid engine. Same process, same seed;
   // jobs must match exactly, and the speedup and mice-FCT-fidelity rows
   // carry the engine's contract.
-  if (const auto hc = hybrid::HybridConfig::from_env(); hc.enabled) {
+  if (env.hybrid) {
     prof::InstallGuard unprofiled(nullptr);
+    const hybrid::HybridConfig hc;
     const std::uint64_t min_bytes = hc.ramp_bytes + hc.min_remaining;
     std::printf(
         "\n== hybrid flow/packet A/B (k=8 fat-tree, web-search, ECMP) ==\n"
@@ -208,8 +208,8 @@ int main() {
         static_cast<unsigned long long>(min_bytes),
         100.0 * workload::FlowSizeDistribution::web_search()
                     .bytes_fraction_at_least(min_bytes));
-    const HybridRun off = run_hybrid_arm(false, scale);
-    const HybridRun on = run_hybrid_arm(true, scale);
+    const HybridRun off = run_hybrid_arm(false, env.scale);
+    const HybridRun on = run_hybrid_arm(true, env.scale);
     for (const HybridRun* r : {&off, &on}) {
       // Both arms count toward the artifact's engine gauges: the
       // packet-exact arm dominates process wall-clock by design.

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cstdlib>
 #include <memory>
 #include <optional>
 #include <string>
@@ -189,14 +188,6 @@ std::vector<ArmResult> interleave(const std::vector<Arm>& arms, int rounds,
     out[i].ratio = median(std::move(ratios[i]));
   }
   return out;
-}
-
-int rounds_from_env(int fallback) {
-  if (const char* s = std::getenv("CLOVE_FABRIC_ROUNDS")) {
-    const int v = std::atoi(s);
-    if (v > 0) return v;
-  }
-  return fallback;
 }
 
 }  // namespace clove::bench

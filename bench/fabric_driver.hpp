@@ -97,8 +97,4 @@ struct ArmResult {
 std::vector<ArmResult> interleave(const std::vector<Arm>& arms, int rounds,
                                   double (Measured::*rate)() const);
 
-/// CLOVE_FABRIC_ROUNDS if set to a positive integer, else the table's own
-/// `fallback`.
-int rounds_from_env(int fallback);
-
 }  // namespace clove::bench

@@ -653,10 +653,7 @@ void print_headline(const FigureSpec& spec, const Panel& panel,
 /// provenance, and whether the auditors stayed clean through it.
 void print_fault_shares(const FigureSpec& spec, const Panel& panel,
                         const PanelResults& res, const FaultWindow& w) {
-  if (telemetry::FlightConfig::from_env().mode ==
-      telemetry::FlightMode::kOff) {
-    return;
-  }
+  if (!telemetry::flight_active()) return;
   std::printf("\nflight recorder: share per spine before the failure -> "
               "while the link is down [%s, %s):\n",
               sim::format_time(w.fail).c_str(),
@@ -801,9 +798,8 @@ std::optional<double> capture_fraction(double base, double x, double best) {
   return (base - x) / gain;
 }
 
-void run_figure(const FigureSpec& spec,
-                const harness::BenchScale& env_scale) {
-  const harness::BenchScale scale = spec.scale.value_or(env_scale);
+void run_figure(const FigureSpec& spec, const harness::RunEnv& env) {
+  const harness::BenchScale scale = spec.scale.value_or(env.scale);
   std::printf("== %s ==\nreproduces: %s\n", spec.title.c_str(),
               spec.paper_ref.c_str());
   std::printf("scale: %d jobs/conn x %d conns/client x %d seed(s)   (%s)\n\n",
@@ -819,12 +815,13 @@ void run_figure(const FigureSpec& spec,
                 sim::format_time(window->convergence).c_str(),
                 sim::format_time(window->restore).c_str());
   }
-  Artifact artifact(spec.name, spec.paper_ref, scale);
+  Artifact artifact(spec.name, spec.paper_ref, scale, env.json_out,
+                    env.prof.value_or(prof::Mode::kOff));
   // A figure's runs go in parallel, so events over wall time measures
   // CLOVE_THREADS as much as the engine: the rate stays in the `engine`
   // section and is not mirrored into a checkable value.
   artifact.set_mirror_engine_rate(false);
-  harness::ParallelRunner runner;
+  harness::ParallelRunner runner(env.threads);
   artifact.set_run_modes(
       runner.threads(),
       telemetry::flight_mode_name(
@@ -842,6 +839,7 @@ void run_figure(const FigureSpec& spec,
     for (double x : panel.xs) {
       for (const Series& s : spec.series) {
         points.push_back({&s, x, make_config(spec, panel, s)});
+        env.apply(points.back().cfg);
       }
     }
   }

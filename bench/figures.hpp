@@ -15,6 +15,7 @@
 #include <vector>
 
 #include "harness/experiment.hpp"
+#include "harness/run_env.hpp"
 #include "workload/flow_size.hpp"
 
 namespace clove::bench {
@@ -157,10 +158,11 @@ struct FaultRecovery {
 [[nodiscard]] FaultRecovery fault_recovery(
     const std::vector<harness::MouseFct>& mice, const FaultWindow& window);
 
-/// Simulate every point of `spec` at `scale` (unless the spec pins its own),
-/// write its artifact (when CLOVE_JSON_OUT is set) and print its tables and
-/// headlines. Call validate() first: a headline that does not resolve
-/// throws only after the simulations ran.
-void run_figure(const FigureSpec& spec, const harness::BenchScale& scale);
+/// Simulate every point of `spec` at `env`'s scale (unless the spec pins its
+/// own) with `env` applied to each point's config, write its artifact (when
+/// env.json_out is set) and print its tables and headlines. Call validate()
+/// first: a headline that does not resolve throws only after the
+/// simulations ran.
+void run_figure(const FigureSpec& spec, const harness::RunEnv& env);
 
 }  // namespace clove::bench

@@ -8,6 +8,7 @@
 #include <cstdio>
 #include <cstdlib>
 
+#include "harness/run_env.hpp"
 #include "lb/clove_ecn.hpp"
 #include "net/fat_tree.hpp"
 #include "overlay/hypervisor.hpp"
@@ -18,6 +19,7 @@ int main(int argc, char** argv) {
   using namespace clove;
 
   const int k = argc > 1 ? std::atoi(argv[1]) : 4;
+  harness::RunEnv::from_env().apply_process();
   sim::Simulator sim(1);
   net::Topology topo(sim);
   net::FatTreeConfig cfg;

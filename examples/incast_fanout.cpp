@@ -9,6 +9,7 @@
 #include <cstdlib>
 
 #include "harness/experiment.hpp"
+#include "harness/run_env.hpp"
 #include "stats/stats.hpp"
 
 int main(int argc, char** argv) {
@@ -16,6 +17,8 @@ int main(int argc, char** argv) {
 
   const int fanout = argc > 1 ? std::atoi(argv[1]) : 8;
   const int requests = argc > 2 ? std::atoi(argv[2]) : 40;
+  const harness::RunEnv env = harness::RunEnv::from_env();
+  env.apply_process();
 
   std::printf("incast: 10MB object over %d servers, %d requests\n\n", fanout,
               requests);
@@ -26,6 +29,7 @@ int main(int argc, char** argv) {
         harness::Scheme::kMptcp}) {
     harness::ExperimentConfig cfg = harness::make_testbed_profile();
     cfg.scheme = s;
+    env.apply(cfg);
     harness::Testbed tb(cfg);
     tb.start_discovery();
 

@@ -9,15 +9,19 @@
 #include <cstring>
 
 #include "harness/experiment.hpp"
+#include "harness/run_env.hpp"
 
 int main(int argc, char** argv) {
   using namespace clove;
 
   const bool fail_link = argc > 1 && std::strcmp(argv[1], "--fail-link") == 0;
+  const harness::RunEnv env = harness::RunEnv::from_env();
+  env.apply_process();
 
   harness::ExperimentConfig cfg = harness::make_testbed_profile();
   cfg.scheme = harness::Scheme::kCloveEcn;
   cfg.asymmetric = fail_link;
+  env.apply(cfg);
   harness::Testbed tb(cfg);
 
   auto* src = tb.clients()[0];

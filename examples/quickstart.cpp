@@ -11,12 +11,15 @@
 #include <cstdlib>
 
 #include "harness/experiment.hpp"
+#include "harness/run_env.hpp"
 #include "stats/stats.hpp"
 
 int main(int argc, char** argv) {
   using namespace clove;
 
   const double load = argc > 1 ? std::atof(argv[1]) / 100.0 : 0.6;
+  const harness::RunEnv env = harness::RunEnv::from_env();
+  env.apply_process();
 
   workload::ClientServerConfig wl;
   wl.load = load;
@@ -33,6 +36,7 @@ int main(int argc, char** argv) {
        {harness::Scheme::kEcmp, harness::Scheme::kCloveEcn}) {
     harness::ExperimentConfig cfg = harness::make_testbed_profile();
     cfg.scheme = s;
+    env.apply(cfg);
     auto r = harness::run_fct_experiment(cfg, wl);
     table.add_row({harness::scheme_name(s), stats::Table::fmt(r.avg_fct_s),
                    stats::Table::fmt(r.p99_fct_s), std::to_string(r.jobs),

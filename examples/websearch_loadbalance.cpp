@@ -19,9 +19,9 @@
 #include <vector>
 
 #include "harness/experiment.hpp"
+#include "harness/run_env.hpp"
 #include "stats/stats.hpp"
 #include "telemetry/flight_recorder.hpp"
-#include "telemetry/scope.hpp"
 
 namespace {
 
@@ -118,8 +118,9 @@ int main(int argc, char** argv) {
   std::printf("%d jobs/conn x %d conns/client x %d seed(s)\n\n", jobs, conns,
               seeds);
 
-  const bool flight_on =
-      telemetry::FlightConfig::from_env().mode != telemetry::FlightMode::kOff;
+  const harness::RunEnv env = harness::RunEnv::from_env();
+  env.apply_process();
+  const bool flight_on = env.flight != telemetry::FlightMode::kOff;
 
   stats::Table table({"scheme", "avg FCT (s)", "mice avg (s)", ">10MB avg (s)",
                       "p99 (s)", "timeouts", "drops"});
@@ -133,6 +134,7 @@ int main(int argc, char** argv) {
       cfg.scheme = s;
       cfg.asymmetric = asymmetric;
       cfg.seed = static_cast<std::uint64_t>(seed) * 7919 + 1;
+      env.apply(cfg);
       workload::ClientServerConfig wl;
       wl.load = load;
       wl.jobs_per_conn = jobs;

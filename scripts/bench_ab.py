@@ -91,7 +91,8 @@ def quartiles(values):
 
 def summarize(pairs, better):
     """Per metric over the counted pairs: each side's quartiles, the ratio of
-    medians, head's wins and whether the gap exceeds the base's IQR.
+    medians, head's wins and `gap`: "better" or "worse" for head when the
+    gap between the medians exceeds the base's IQR, else "no".
     `better` maps a metric name to "lower" or "higher"."""
     good = [p for p in pairs if p["why"] is None]
     if not good:
@@ -103,11 +104,13 @@ def summarize(pairs, better):
         bq, hq = quartiles(base), quartiles(head)
         sign = -1 if direction == "lower" else 1
         wins = sum(1 for b, h in zip(base, head) if sign * (h - b) > 0)
+        gap = hq[1] - bq[1]
         out[name] = {
             "base": bq, "head": hq,
             "ratio": hq[1] / bq[1] if bq[1] else float("inf"),
             "wins": wins, "pairs": len(good),
-            "beyond_iqr": abs(hq[1] - bq[1]) > bq[2] - bq[0],
+            "gap": ("no" if abs(gap) <= bq[2] - bq[0]
+                    else "better" if sign * gap > 0 else "worse"),
         }
     return out
 
@@ -127,7 +130,7 @@ def report(pairs, summary):
                  for side in SIDES]
         lines.append(f"{name:<12} {cells[0]:>32} {cells[1]:>32} "
                      f"{s['ratio']:>9.3f} {s['wins']:>3}/{s['pairs']:<2} "
-                     f"{'yes' if s['beyond_iqr'] else 'no':>14}")
+                     f"{s['gap']:>14}")
     return "\n".join(lines)
 
 

@@ -67,12 +67,21 @@ class TestSummarize(unittest.TestCase):
         self.assertEqual(s["head"], (1.0, 1.5, 2.0))
         self.assertAlmostEqual(s["ratio"], 0.5)
         self.assertEqual((s["wins"], s["pairs"]), (5, 5))
-        self.assertFalse(s["beyond_iqr"])  # gap 1.5 < base IQR 2.0
+        self.assertEqual(s["gap"], "no")  # gap 1.5 < base IQR 2.0
 
     def test_gap_beyond_the_base_iqr(self):
         s = ab.summarize(self.pairs([10.0, 10.2, 10.4, 10.1], [8.0] * 4),
                          {"t": "lower"})["t"]
-        self.assertTrue(s["beyond_iqr"])
+        self.assertEqual(s["gap"], "better")
+
+    def test_a_regression_beyond_the_base_iqr_reads_worse(self):
+        pairs = self.pairs([10.0, 10.2, 10.4, 10.1], [12.0] * 4)
+        self.assertEqual(ab.summarize(pairs, {"t": "lower"})["t"]["gap"],
+                         "worse")
+        self.assertEqual(ab.summarize(pairs, {"t": "higher"})["t"]["gap"],
+                         "better")
+        self.assertTrue(ab.report(pairs, ab.summarize(pairs, {"t": "lower"}))
+                        .endswith("worse"))
 
     def test_ties_count_for_neither_side(self):
         s = ab.summarize(self.pairs([1.0, 1.0, 2.0, 1.0], [1.0, 0.5, 3.0, 1.0]),
@@ -87,7 +96,7 @@ class TestSummarize(unittest.TestCase):
     def test_one_pair(self):
         s = ab.summarize(self.pairs([2.0], [1.0]), {"t": "lower"})["t"]
         self.assertEqual(s["base"], (2.0, 2.0, 2.0))
-        self.assertTrue(s["beyond_iqr"])
+        self.assertEqual(s["gap"], "better")
 
     def test_report_prints_a_row_per_metric(self):
         pairs = self.pairs([2.0, 2.0], [1.0, 1.0], name="setup_s")
@@ -96,7 +105,7 @@ class TestSummarize(unittest.TestCase):
         self.assertTrue(row.startswith("setup_s"))
         self.assertIn("0.500", row)
         self.assertIn("2/2", row)
-        self.assertTrue(row.endswith("yes"))
+        self.assertTrue(row.endswith("better"))
 
 
 if __name__ == "__main__":

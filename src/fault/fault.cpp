@@ -146,10 +146,8 @@ FaultPlan FaultPlan::parse_text(const std::string& text, std::string* error) {
   return parse(doc, error);
 }
 
-FaultPlan FaultPlan::from_env(std::string* error) {
-  const char* spec = std::getenv("CLOVE_FAULT_PLAN");
-  if (spec == nullptr || *spec == '\0') return FaultPlan{};
-  std::string text(spec);
+FaultPlan FaultPlan::load(const std::string& spec, std::string* error) {
+  std::string text = spec;
   const std::size_t first = text.find_first_not_of(" \t\r\n");
   if (first == std::string::npos) return FaultPlan{};
   if (text[first] != '[' && text[first] != '{') {
@@ -159,7 +157,7 @@ FaultPlan FaultPlan::from_env(std::string* error) {
     std::ifstream in(path);
     if (!in) {
       if (error != nullptr) {
-        *error = "CLOVE_FAULT_PLAN: cannot open file '" + path + "'";
+        *error = "cannot open file '" + path + "'";
       }
       return FaultPlan{};
     }

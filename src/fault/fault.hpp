@@ -70,10 +70,10 @@ struct FaultPlan {
   /// Parse the JSON spec; returns an empty plan and sets *error on failure.
   static FaultPlan parse(const telemetry::Json& doc, std::string* error);
   static FaultPlan parse_text(const std::string& text, std::string* error);
-  /// CLOVE_FAULT_PLAN: inline JSON (first non-space char '[' or '{') or a
-  /// path to a JSON file (optionally '@'-prefixed). Unset/empty -> empty
-  /// plan.
-  static FaultPlan from_env(std::string* error = nullptr);
+  /// A plan spec as CLOVE_FAULT_PLAN gives it: inline JSON (first non-space
+  /// char '[' or '{') or a path to a JSON file (optionally '@'-prefixed).
+  /// A blank spec is an empty plan.
+  static FaultPlan load(const std::string& spec, std::string* error);
 };
 
 /// Statistics of one armed injector (tests / reports).

@@ -1,7 +1,5 @@
 #include "harness/experiment.hpp"
 
-#include <cstdlib>
-
 #include "lb/clove_ecn.hpp"
 #include "lb/clove_int.hpp"
 #include "lb/clove_latency.hpp"
@@ -12,7 +10,6 @@
 #include "net/letflow_switch.hpp"
 #include "net/packet_pool.hpp"
 #include "prof/prof.hpp"
-#include "sim/logging.hpp"
 #include "telemetry/artifact.hpp"
 #include "telemetry/scope.hpp"
 
@@ -227,19 +224,10 @@ Testbed::Testbed(const ExperimentConfig& cfg) : cfg_(cfg), sim_(cfg.seed) {
 
   if (cfg_.asymmetric) fail_s2_l2_link();
 
-  // Arm the fault plan (config first, CLOVE_FAULT_PLAN as fallback) now
-  // that every link and host exists. Events in the past fire immediately.
-  fault::FaultPlan plan = cfg_.fault_plan;
-  if (plan.empty()) {
-    std::string err;
-    plan = fault::FaultPlan::from_env(&err);
-    if (!err.empty()) {
-      CLOVE_WARN(sim_.now(), "harness", "ignoring fault plan: %s",
-                 err.c_str());
-    }
-  }
-  if (!plan.empty()) {
-    injector_ = std::make_unique<fault::FaultInjector>(*topo_, std::move(plan));
+  // Arm the fault plan now that every link and host exists. Events in the
+  // past fire immediately.
+  if (!cfg_.fault_plan.empty()) {
+    injector_ = std::make_unique<fault::FaultInjector>(*topo_, cfg_.fault_plan);
     injector_->arm();
   }
 
@@ -383,7 +371,7 @@ ExperimentResult run_fct_experiment(const ExperimentConfig& cfg,
     // scripts/trace_summarize.py can explain the run.
     CLOVE_PROF_SCOPE(prof::kFlight);
     r.flight = fr->summary(tb.simulator().now());
-    const std::string dir = telemetry::json_out_dir();
+    const std::string& dir = cfg.artifact_dir;
     if (!dir.empty()) {
       const std::string tag = scheme_name(cfg.scheme);
       telemetry::Json doc = r.flight.to_json();
@@ -433,7 +421,7 @@ ExperimentResult run_incast_experiment(const ExperimentConfig& cfg,
 }
 
 // ---------------------------------------------------------------------------
-// Profiles and bench scale
+// Profiles
 // ---------------------------------------------------------------------------
 
 ExperimentConfig make_testbed_profile() {
@@ -448,20 +436,6 @@ ExperimentConfig make_ns2_profile() {
   cfg.tcp.min_rto = 5 * sim::kMillisecond;  // simulation profile (§6)
   cfg.tcp.ecn = true;
   return cfg;
-}
-
-BenchScale BenchScale::from_env() {
-  auto env_int = [](const char* name, int def) {
-    const char* v = std::getenv(name);
-    if (v == nullptr) return def;
-    const int n = std::atoi(v);
-    return n > 0 ? n : def;
-  };
-  BenchScale s;
-  s.jobs_per_conn = env_int("CLOVE_JOBS", 40);
-  s.seeds = env_int("CLOVE_SEEDS", 1);
-  s.conns_per_client = env_int("CLOVE_CONNS", 2);
-  return s;
 }
 
 }  // namespace clove::harness

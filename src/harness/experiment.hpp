@@ -70,19 +70,21 @@ struct ExperimentConfig {
   sim::Time traffic_start{30 * sim::kMillisecond};
   sim::Time max_sim_time{600 * sim::kSecond};
 
-  /// Scheduled fault events (DESIGN.md §8). When empty, the Testbed falls
-  /// back to CLOVE_FAULT_PLAN from the environment; when that is unset too,
-  /// no injector is armed.
+  /// Scheduled fault events (DESIGN.md §8); when empty no injector is armed.
   fault::FaultPlan fault_plan{};
   /// Source-side path-health monitoring (keepalives, eviction, re-probe).
   /// Off by default: the symmetric experiments don't need it and it adds
   /// timer events to every run.
   overlay::PathHealthConfig path_health{};
 
-  /// Hybrid flow/packet engine (DESIGN.md §12). Defaults to the CLOVE_HYBRID
-  /// environment (off unless CLOVE_HYBRID=on), so existing entry points are
+  /// Hybrid flow/packet engine (DESIGN.md §12). Off by default, which is
   /// bit-identical to the packet-exact simulator.
-  hybrid::HybridConfig hybrid{hybrid::HybridConfig::from_env()};
+  hybrid::HybridConfig hybrid{};
+
+  /// Where run_fct_experiment dumps the flight recorder's provenance
+  /// (FLIGHT_<scheme>.json and its JSONL/CSV side files) when a recorder is
+  /// active; empty writes nothing.
+  std::string artifact_dir{};
 };
 
 /// One mouse (flow < 100 KB) of an FCT run: when it arrived and how long it
@@ -120,9 +122,9 @@ struct ExperimentResult {
   std::uint64_t path_evictions{0};
   std::uint64_t path_readmissions{0};
   /// Telemetry registry snapshot taken at run end (empty values when
-  /// telemetry is disabled; see CLOVE_TELEMETRY).
+  /// telemetry is disabled).
   telemetry::MetricsSnapshot metrics;
-  /// Flight-recorder digest (mode kOff when CLOVE_FLIGHT_RECORDER is unset):
+  /// Flight-recorder digest (mode kOff when no recorder is active):
   /// journey/provenance counts, per-path usage, audit verdicts.
   telemetry::FlightSummary flight;
 };
@@ -160,7 +162,7 @@ class Testbed {
     return flight_watch_.get();
   }
 
-  /// The armed fault injector, or null when the effective plan was empty.
+  /// The armed fault injector, or null when cfg.fault_plan was empty.
   [[nodiscard]] fault::FaultInjector* fault_injector() {
     return injector_.get();
   }
@@ -192,15 +194,13 @@ ExperimentResult run_fct_experiment(const ExperimentConfig& cfg,
 ExperimentResult run_incast_experiment(const ExperimentConfig& cfg,
                                        const workload::IncastConfig& wl);
 
-/// Environment-based scale controls for the bench harness:
-/// CLOVE_JOBS (jobs per connection), CLOVE_SEEDS (averaging runs),
-/// CLOVE_CONNS (connections per client). Defaults keep the full bench suite
-/// in the minutes range; paper-scale values reproduce §5 magnitudes.
+/// Scale of a bench sweep (RunEnv reads it from CLOVE_JOBS, CLOVE_SEEDS and
+/// CLOVE_CONNS). The defaults keep the full bench suite in the minutes
+/// range; paper-scale values reproduce §5 magnitudes.
 struct BenchScale {
-  int jobs_per_conn;
-  int seeds;
-  int conns_per_client;
-  static BenchScale from_env();
+  int jobs_per_conn{40};     ///< jobs per connection
+  int seeds{1};              ///< averaging runs
+  int conns_per_client{2};   ///< connections per client
 };
 
 /// The paper's two evaluation profiles.

@@ -2,24 +2,16 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cstdlib>
 #include <memory>
 
 #include "prof/prof.hpp"
 
 namespace clove::harness {
 
-unsigned default_threads() {
-  if (const char* v = std::getenv("CLOVE_THREADS")) {
-    const long n = std::atol(v);
-    if (n >= 1) return static_cast<unsigned>(n > 1024 ? 1024 : n);
-  }
-  const unsigned hw = std::thread::hardware_concurrency();
-  return hw == 0 ? 1 : hw;
-}
-
 ParallelRunner::ParallelRunner(unsigned threads)
-    : threads_(threads == 0 ? default_threads() : threads) {}
+    : threads_(threads != 0
+                   ? threads
+                   : std::max(1u, std::thread::hardware_concurrency())) {}
 
 ParallelRunner::~ParallelRunner() = default;
 

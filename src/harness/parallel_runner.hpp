@@ -11,11 +11,6 @@
 
 namespace clove::harness {
 
-/// Threads to use for parallel sweeps: the CLOVE_THREADS environment knob,
-/// else std::thread::hardware_concurrency(). CLOVE_THREADS=1 disables
-/// parallelism (tasks run inline on the caller, the pre-runner behavior).
-[[nodiscard]] unsigned default_threads();
-
 /// Thread pool for embarrassingly parallel sweep points.
 ///
 /// Each sweep point is an independent simulation: its own Simulator, its own
@@ -41,8 +36,9 @@ class ParallelRunner {
  public:
   using Task = std::function<void()>;
 
-  /// `threads == 0` means default_threads(). With one thread no workers are
-  /// spawned and run_all()/map() execute inline on the calling thread.
+  /// `threads == 0` means the hardware thread count (at least 1). With one
+  /// thread no workers are spawned and run_all()/map() execute inline on
+  /// the calling thread.
   explicit ParallelRunner(unsigned threads = 0);
   ~ParallelRunner();
   ParallelRunner(const ParallelRunner&) = delete;

@@ -2,39 +2,11 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdlib>
 #include <limits>
-#include <string>
 
 #include "prof/prof.hpp"
 
 namespace clove::hybrid {
-
-namespace {
-
-std::uint64_t env_u64(const char* name, std::uint64_t def) {
-  const char* v = std::getenv(name);
-  if (v == nullptr || *v == '\0') return def;
-  return static_cast<std::uint64_t>(std::strtoull(v, nullptr, 10));
-}
-
-}  // namespace
-
-HybridConfig HybridConfig::from_env() {
-  HybridConfig cfg;
-  if (const char* v = std::getenv("CLOVE_HYBRID")) {
-    const std::string s(v);
-    cfg.enabled = (s == "on" || s == "1" || s == "true");
-  }
-  cfg.ramp_bytes = env_u64("CLOVE_HYBRID_RAMP", cfg.ramp_bytes);
-  cfg.min_remaining = env_u64("CLOVE_HYBRID_MIN_REMAINING", cfg.min_remaining);
-  cfg.tail_bytes = env_u64("CLOVE_HYBRID_TAIL", cfg.tail_bytes);
-  if (const char* v = std::getenv("CLOVE_HYBRID_SOLVE_US")) {
-    const auto us = std::strtoll(v, nullptr, 10);
-    if (us > 0) cfg.solve_interval = us * sim::kMicrosecond;
-  }
-  return cfg;
-}
 
 Engine::Engine(sim::Simulator& sim, HybridConfig cfg)
     : sim_(sim),

@@ -32,10 +32,6 @@ struct HybridConfig {
   /// Fraction of a link's effective rate fluid flows may claim; the rest is
   /// headroom for the packet-level traffic sharing the link.
   double max_share{0.95};
-
-  /// CLOVE_HYBRID=on|1|true enables; CLOVE_HYBRID_RAMP / _MIN_REMAINING /
-  /// _TAIL (bytes) and CLOVE_HYBRID_SOLVE_US override the knobs.
-  [[nodiscard]] static HybridConfig from_env();
 };
 
 struct HybridStats {

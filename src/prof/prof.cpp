@@ -5,8 +5,6 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 
 namespace clove::prof {
 
@@ -356,19 +354,6 @@ std::string Profiler::chrome_trace() const {
   }
   out += "\n]}\n";
   return out;
-}
-
-Mode mode_from_env() {
-  const char* v = std::getenv("CLOVE_PROF");
-  if (v == nullptr) return Mode::kOff;
-  if (std::strcmp(v, "summary") == 0) return Mode::kSummary;
-  if (std::strcmp(v, "full") == 0) return Mode::kFull;
-  return Mode::kOff;
-}
-
-std::string out_dir_from_env(const std::string& fallback) {
-  if (const char* v = std::getenv("CLOVE_PROF_OUT")) return v;
-  return fallback;
 }
 
 SessionGuard::SessionGuard(Mode m) : prev_(detail::tl_prof) {

@@ -329,17 +329,11 @@ class InstallGuard {
   Profiler* prev_;
 };
 
-/// CLOVE_PROF=off|summary|full (default off; unknown values read as off).
-[[nodiscard]] Mode mode_from_env();
-/// CLOVE_PROF_OUT if set, else `fallback` (normally the CLOVE_JSON_OUT dir).
-[[nodiscard]] std::string out_dir_from_env(const std::string& fallback);
-
-/// Owns a Profiler configured from CLOVE_PROF (or an explicit mode) and
-/// installs it on the constructing thread for its lifetime. Declaring one
-/// near the top of main() is all a binary needs to become profilable.
+/// Owns a Profiler in mode `m` (none when kOff) and installs it on the
+/// constructing thread for its lifetime. Declaring one near the top of
+/// main() is all a binary needs to become profilable.
 class SessionGuard {
  public:
-  SessionGuard() : SessionGuard(mode_from_env()) {}
   explicit SessionGuard(Mode m);
   ~SessionGuard();
   SessionGuard(const SessionGuard&) = delete;

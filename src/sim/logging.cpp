@@ -1,7 +1,6 @@
 #include "sim/logging.hpp"
 
 #include <cstdarg>
-#include <cstdlib>
 
 namespace clove::sim {
 
@@ -15,10 +14,7 @@ LogLevel parse_log_level(const std::string& text, LogLevel fallback) {
 }
 
 LogLevel& log_level() {
-  static LogLevel level = [] {
-    const char* v = std::getenv("CLOVE_LOG_LEVEL");
-    return v != nullptr ? parse_log_level(v) : LogLevel::kWarn;
-  }();
+  static LogLevel level = LogLevel::kWarn;
   return level;
 }
 

@@ -9,14 +9,14 @@ namespace clove::sim {
 
 enum class LogLevel : int { kNone = 0, kError = 1, kWarn = 2, kInfo = 3, kTrace = 4 };
 
-/// Process-wide log verbosity for diagnostics. Default: warnings and errors,
-/// overridable at startup via the CLOVE_LOG_LEVEL environment variable
-/// ("none" | "error" | "warn" | "info" | "trace", or the numeric 0-4).
+/// Process-wide log verbosity for diagnostics. Default: warnings and errors;
+/// binaries set it from CLOVE_LOG_LEVEL (harness::RunEnv).
 /// This is deliberately a plain knob, not part of Simulator, because logging
 /// is a debugging aid rather than simulated state.
 LogLevel& log_level();
 
-/// Parse a CLOVE_LOG_LEVEL value; returns `fallback` for unrecognized input.
+/// Parse a level name ("none" | "error" | "warn" | "info" | "trace", or the
+/// numeric 0-4); returns `fallback` for unrecognized input.
 [[nodiscard]] LogLevel parse_log_level(const std::string& text,
                                        LogLevel fallback = LogLevel::kWarn);
 

@@ -1,15 +1,9 @@
 #include "telemetry/artifact.hpp"
 
-#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 
 namespace clove::telemetry {
-
-std::string json_out_dir() {
-  const char* v = std::getenv("CLOVE_JSON_OUT");
-  return v != nullptr ? std::string(v) : std::string();
-}
 
 std::string write_text_artifact(const std::string& dir, const std::string& name,
                                 const std::string& text) {

@@ -6,10 +6,6 @@
 
 namespace clove::telemetry {
 
-/// The machine-readable run-artifact sink, controlled by CLOVE_JSON_OUT.
-/// Empty when unset (artifacts disabled).
-[[nodiscard]] std::string json_out_dir();
-
 /// Write `doc` to `<dir>/<name>.json` (pretty-printed), creating the
 /// directory if needed. Returns the written path, or "" on failure / when
 /// `dir` is empty.

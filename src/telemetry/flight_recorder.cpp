@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 
 namespace clove::telemetry {
 
@@ -40,24 +38,6 @@ std::string FlightFlowKey::to_string() const {
   s += ':';
   s += std::to_string(dst_port);
   return s;
-}
-
-FlightConfig FlightConfig::from_env() {
-  FlightConfig c;
-  if (const char* v = std::getenv("CLOVE_FLIGHT_RECORDER")) {
-    if (std::strcmp(v, "full") == 0) {
-      c.mode = FlightMode::kFull;
-    } else if (std::strcmp(v, "sampled") == 0) {
-      c.mode = FlightMode::kSampled;
-    } else {
-      c.mode = FlightMode::kOff;
-    }
-  }
-  if (const char* v = std::getenv("CLOVE_FLIGHT_SAMPLE")) {
-    const long n = std::atol(v);
-    if (n > 0) c.sample_every = static_cast<std::uint64_t>(n);
-  }
-  return c;
 }
 
 FlightRecorder::FlightRecorder(const FlightConfig& cfg, MetricsRegistry* metrics)

@@ -39,9 +39,6 @@ struct FlightConfig {
   std::size_t max_flowlet_records{1u << 15};
   /// Time-bucket width for the per-path usage aggregation.
   sim::Time usage_bucket{100 * sim::kMillisecond};
-
-  /// CLOVE_FLIGHT_RECORDER=off|sampled|full, CLOVE_FLIGHT_SAMPLE=N.
-  [[nodiscard]] static FlightConfig from_env();
 };
 
 /// One switch traversal: where the packet entered and left, the depth of the

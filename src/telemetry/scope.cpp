@@ -1,7 +1,5 @@
 #include "telemetry/scope.hpp"
 
-#include <cstdlib>
-
 namespace clove::telemetry {
 
 namespace detail {
@@ -9,15 +7,6 @@ constinit thread_local Scope* tl_scope = nullptr;
 constinit thread_local bool tl_enabled = false;
 constinit thread_local FlightRecorder* tl_flight = nullptr;
 }  // namespace detail
-
-ScopeSettings ScopeSettings::from_env() {
-  ScopeSettings s;
-  if (const char* v = std::getenv("CLOVE_TELEMETRY")) {
-    s.enabled = v[0] != '\0' && v[0] != '0';
-  }
-  s.flight = FlightConfig::from_env();
-  return s;
-}
 
 void Scope::set_enabled(bool on) {
   enabled_ = on;
@@ -40,10 +29,9 @@ void Scope::set_flight_config(const FlightConfig& cfg) {
 
 Scope& current_scope() {
   if (detail::tl_scope == nullptr) {
-    // Lazy process-wide fallback, configured from the environment. Threads
-    // that never install a scope all resolve here; construction is
-    // thread-safe (magic static).
-    static Scope process_scope{ScopeSettings::from_env()};
+    // Lazy process-wide fallback, created off. Threads that never install a
+    // scope all resolve here; construction is thread-safe (magic static).
+    static Scope process_scope;
     detail::tl_scope = &process_scope;
     detail::tl_enabled = process_scope.is_enabled();
     detail::tl_flight = process_scope.flight_recorder();

@@ -7,15 +7,11 @@
 
 namespace clove::telemetry {
 
-/// Construction-time knobs for a telemetry Scope. from_env() reads:
-///   CLOVE_TELEMETRY=1           enable the metrics registry
-///   CLOVE_FLIGHT_RECORDER=off|sampled|full   flight recorder mode
-///   CLOVE_FLIGHT_SAMPLE=N       sampled mode: journey every Nth packet
+/// Construction-time knobs for a telemetry Scope: the metrics registry on or
+/// off, and the flight recorder's configuration.
 struct ScopeSettings {
   bool enabled{false};
   FlightConfig flight{};
-
-  [[nodiscard]] static ScopeSettings from_env();
 };
 
 /// One telemetry collection domain: a metrics registry, a flight recorder and
@@ -143,7 +139,8 @@ extern constinit thread_local FlightRecorder* tl_flight;
 
 /// The scope telemetry resolves against on this thread. Threads with no
 /// installed scope (the main thread, plain tests) share a lazily created
-/// process-wide scope configured from the environment.
+/// process-wide scope, created off; a binary configures it explicitly
+/// (harness::RunEnv::apply_process, bench::Artifact).
 [[nodiscard]] Scope& current_scope();
 
 /// RAII installer: makes `s` the calling thread's current scope for the

@@ -7,15 +7,17 @@
 // and p99 FCT, so any change to how a packet carries or loses one of those
 // fields moves at least one pin. Every case runs twice, with telemetry off and
 // then inside an enabled telemetry scope, and both runs must hit the same pin:
-// recording metrics never feeds back into the simulation.
+// recording metrics never feeds back into the simulation. Nor does the
+// environment: with every run-moving CLOVE_* knob set, a config built in
+// code still hits its pin.
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <cstdio>
+#include <cstdlib>
 
 #include "harness/experiment.hpp"
-#include "hybrid/hybrid.hpp"
 #include "telemetry/scope.hpp"
 #include "workload/client_server.hpp"
 
@@ -38,7 +40,6 @@ ExperimentConfig base_config(Scheme scheme) {
   cfg.scheme = scheme;
   cfg.asymmetric = true;
   cfg.seed = 2;
-  cfg.hybrid = hybrid::HybridConfig{};  // off, whatever the environment says
   return cfg;
 }
 
@@ -88,10 +89,24 @@ void expect_pinned(const ExperimentConfig& cfg,
   expect_run_pinned(cfg, wl, pin);
 }
 
+constexpr Pin kEcmpPin{787633, 3606, 0, 0x1.3a5a8279e4bfep-3,
+                       0x1.3a5a8279e4bfdp-9, 0x1.53ea1d906ab8ep-6};
+
 TEST(DatapathPins, Ecmp) {
-  expect_pinned(base_config(Scheme::kEcmp), base_workload(),
-                {787633, 3606, 0, 0x1.3a5a8279e4bfep-3, 0x1.3a5a8279e4bfdp-9,
-                 0x1.53ea1d906ab8ep-6});
+  expect_pinned(base_config(Scheme::kEcmp), base_workload(), kEcmpPin);
+}
+
+TEST(DatapathPins, EnvironmentCannotMoveAResult) {
+  const char* const vars[][2] = {
+      {"CLOVE_HYBRID", "on"},
+      {"CLOVE_FAULT_PLAN",
+       R"([{"at_ms": 31, "kind": "link_down", "target": "L1->S1#0"}])"},
+      {"CLOVE_FLIGHT_RECORDER", "full"},
+      {"CLOVE_TELEMETRY", "1"},
+  };
+  for (const auto& [name, value] : vars) ::setenv(name, value, 1);
+  expect_pinned(base_config(Scheme::kEcmp), base_workload(), kEcmpPin);
+  for (const auto& [name, value] : vars) ::unsetenv(name);
 }
 
 TEST(DatapathPins, CloveEcn) {
@@ -150,7 +165,6 @@ TEST(DatapathPins, HybridEcmpCarriesPathTraces) {
   ExperimentConfig cfg = make_testbed_profile();
   cfg.scheme = Scheme::kEcmp;
   cfg.seed = 3;
-  cfg.hybrid = hybrid::HybridConfig{};
   cfg.hybrid.enabled = true;
   workload::ClientServerConfig wl;
   wl.conns_per_client = 1;

@@ -5,7 +5,6 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
 #include <string>
 
@@ -94,12 +93,11 @@ TEST(FaultPlan, ParseRejectsBadInput) {
   EXPECT_NE(err.find("at_ms"), std::string::npos);
 }
 
-TEST(FaultPlan, FromEnvInlineAndFile) {
+TEST(FaultPlan, LoadInlineAndFile) {
   const char* spec =
       R"({"seed": 3, "events": [{"at_ms": 5, "kind": "link_down", "target": "L1->S1#0"}]})";
-  ::setenv("CLOVE_FAULT_PLAN", spec, 1);
   std::string err;
-  FaultPlan plan = FaultPlan::from_env(&err);
+  FaultPlan plan = FaultPlan::load(spec, &err);
   EXPECT_TRUE(err.empty()) << err;
   ASSERT_EQ(plan.events.size(), 1u);
   EXPECT_EQ(plan.seed, 3u);
@@ -110,25 +108,23 @@ TEST(FaultPlan, FromEnvInlineAndFile) {
     std::ofstream out(fname);
     out << spec;
   }
-  ::setenv("CLOVE_FAULT_PLAN", fname, 1);
-  plan = FaultPlan::from_env(&err);
+  plan = FaultPlan::load(fname, &err);
   EXPECT_TRUE(err.empty()) << err;
   ASSERT_EQ(plan.events.size(), 1u);
 
   // The conventional '@file' spelling resolves to the same path.
-  ::setenv("CLOVE_FAULT_PLAN", (std::string("@") + fname).c_str(), 1);
-  plan = FaultPlan::from_env(&err);
+  plan = FaultPlan::load(std::string("@") + fname, &err);
   std::remove(fname);
   EXPECT_TRUE(err.empty()) << err;
   ASSERT_EQ(plan.events.size(), 1u);
 
-  ::setenv("CLOVE_FAULT_PLAN", "no_such_file.json", 1);
-  plan = FaultPlan::from_env(&err);
+  plan = FaultPlan::load("no_such_file.json", &err);
   EXPECT_TRUE(plan.empty());
   EXPECT_FALSE(err.empty());
 
-  ::unsetenv("CLOVE_FAULT_PLAN");
-  EXPECT_TRUE(FaultPlan::from_env().empty());
+  err.clear();
+  EXPECT_TRUE(FaultPlan::load(" \n", &err).empty());
+  EXPECT_TRUE(err.empty()) << err;
 }
 
 // ---------------------------------------------------------------------------

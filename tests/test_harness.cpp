@@ -1,12 +1,13 @@
 // Tests for the experiment harness: scheme wiring, testbed construction,
-// profiles, env-based scaling, and end-to-end behaviour of the composed
-// schemes (Presto reassembly, DCTCP option, CONGA fabric wiring).
+// profiles, the environment knobs (RunEnv), and end-to-end behaviour of the
+// composed schemes (Presto reassembly, DCTCP option, CONGA fabric wiring).
 
 #include <gtest/gtest.h>
 
 #include <cstdlib>
 
 #include "harness/experiment.hpp"
+#include "harness/run_env.hpp"
 #include "lb/presto.hpp"
 #include "net/conga_switch.hpp"
 #include "workload/client_server.hpp"
@@ -101,14 +102,14 @@ TEST(Harness, BenchScaleReadsEnv) {
   setenv("CLOVE_JOBS", "7", 1);
   setenv("CLOVE_SEEDS", "3", 1);
   setenv("CLOVE_CONNS", "5", 1);
-  auto s = BenchScale::from_env();
+  auto s = RunEnv::from_env().scale;
   EXPECT_EQ(s.jobs_per_conn, 7);
   EXPECT_EQ(s.seeds, 3);
   EXPECT_EQ(s.conns_per_client, 5);
   unsetenv("CLOVE_JOBS");
   unsetenv("CLOVE_SEEDS");
   unsetenv("CLOVE_CONNS");
-  auto d = BenchScale::from_env();
+  auto d = RunEnv::from_env().scale;
   EXPECT_EQ(d.jobs_per_conn, 40);
   EXPECT_EQ(d.seeds, 1);
   EXPECT_EQ(d.conns_per_client, 2);
@@ -116,8 +117,37 @@ TEST(Harness, BenchScaleReadsEnv) {
 
 TEST(Harness, BenchScaleRejectsGarbage) {
   setenv("CLOVE_JOBS", "-3", 1);
-  EXPECT_EQ(BenchScale::from_env().jobs_per_conn, 40);
+  EXPECT_EQ(RunEnv::from_env().scale.jobs_per_conn, 40);
   unsetenv("CLOVE_JOBS");
+}
+
+TEST(RunEnv, ParsesTheKnobsAndAppliesThemOnlyWhenAsked) {
+  const char* const vars[][2] = {
+      {"CLOVE_JSON_OUT", "some/dir"}, {"CLOVE_HYBRID", "on"},
+      {"CLOVE_FLIGHT_RECORDER", "sampled"}, {"CLOVE_FABRIC_ROUNDS", "12"},
+      {"CLOVE_LOG_LEVEL", "none"},
+      {"CLOVE_FAULT_PLAN", R"([{"at_ms": 40, "kind": "link_down",
+                                "target": "x"}])"}};
+  for (const auto& [name, value] : vars) setenv(name, value, 1);
+  const RunEnv env = RunEnv::from_env();
+  for (const auto& [name, value] : vars) unsetenv(name);
+  EXPECT_EQ(env.json_out, "some/dir");
+  EXPECT_TRUE(env.hybrid);
+  EXPECT_EQ(env.flight, telemetry::FlightMode::kSampled);
+  EXPECT_EQ(env.fabric_rounds, 12);
+  EXPECT_EQ(env.log_level, sim::LogLevel::kNone);
+  EXPECT_EQ(env.fault_plan.events.size(), 1u);
+
+  // A config gets the knobs only from apply(), and keeps its own fault plan.
+  ExperimentConfig cfg = make_testbed_profile();
+  EXPECT_FALSE(cfg.hybrid.enabled);
+  env.apply(cfg);
+  EXPECT_TRUE(cfg.hybrid.enabled);
+  EXPECT_EQ(cfg.fault_plan.events.size(), 1u);
+  EXPECT_EQ(cfg.artifact_dir, "some/dir");
+  cfg.fault_plan.add(0, fault::FaultKind::kLinkUp, "x");
+  env.apply(cfg);
+  EXPECT_EQ(cfg.fault_plan.events.size(), 2u);
 }
 
 TEST(Harness, PrestoReassemblyPreventsSpuriousRetransmits) {

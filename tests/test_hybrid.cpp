@@ -332,9 +332,7 @@ TEST_P(HybridAB, MiceFctTracksPacketExactAndJobsMatch) {
   wl.jobs_per_conn = 16;
   wl.load = 0.5;
 
-  cfg.hybrid.enabled = false;
   const harness::ExperimentResult off = harness::run_fct_experiment(cfg, wl);
-  cfg.hybrid = hybrid::HybridConfig{};
   cfg.hybrid.enabled = true;
   const harness::ExperimentResult on = harness::run_fct_experiment(cfg, wl);
 
@@ -345,27 +343,6 @@ TEST_P(HybridAB, MiceFctTracksPacketExactAndJobsMatch) {
   EXPECT_GE(match_ratio(off.mice_avg_fct_s, on.mice_avg_fct_s), 0.65)
       << "mice avg FCT off=" << off.mice_avg_fct_s
       << " on=" << on.mice_avg_fct_s;
-}
-
-// CLOVE_HYBRID=off (the default) must leave the packet-exact simulation
-// bit-identical: an engine is never constructed, and a run with the knob
-// explicitly defaulted reproduces the exact event count and FCTs of the
-// seed behavior the rest of the suite pins.
-TEST(HybridOff, DisabledConfigMatchesDefaultRunExactly) {
-  harness::ExperimentConfig cfg = harness::make_testbed_profile();
-  cfg.scheme = harness::Scheme::kCloveEcn;
-  cfg.seed = 5;
-  workload::ClientServerConfig wl;
-  wl.conns_per_client = 1;
-  wl.jobs_per_conn = 8;
-  wl.load = 0.4;
-  const harness::ExperimentResult base = harness::run_fct_experiment(cfg, wl);
-  cfg.hybrid = hybrid::HybridConfig{};  // enabled=false, fresh knobs
-  const harness::ExperimentResult off = harness::run_fct_experiment(cfg, wl);
-  EXPECT_EQ(base.events, off.events);
-  EXPECT_EQ(base.jobs, off.jobs);
-  EXPECT_DOUBLE_EQ(base.avg_fct_s, off.avg_fct_s);
-  EXPECT_DOUBLE_EQ(base.p99_fct_s, off.p99_fct_s);
 }
 
 INSTANTIATE_TEST_SUITE_P(Schemes, HybridAB,

@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdlib>
 #include <functional>
@@ -15,6 +16,7 @@
 
 #include "harness/experiment.hpp"
 #include "harness/parallel_runner.hpp"
+#include "harness/run_env.hpp"
 #include "telemetry/scope.hpp"
 #include "workload/client_server.hpp"
 
@@ -67,13 +69,13 @@ TEST(ParallelRunner, PropagatesFirstTaskException) {
 
 TEST(ParallelRunner, ThreadsEnvKnobIsHonored) {
   ::setenv("CLOVE_THREADS", "3", 1);
-  EXPECT_EQ(default_threads(), 3u);
-  ParallelRunner r;
+  ParallelRunner r(RunEnv::from_env().threads);
   EXPECT_EQ(r.threads(), 3u);
-  ::setenv("CLOVE_THREADS", "1", 1);
-  EXPECT_EQ(default_threads(), 1u);
+  // The library ignores the environment: 0 means the hardware threads.
+  EXPECT_EQ(ParallelRunner(0).threads(),
+            std::max(1u, std::thread::hardware_concurrency()));
   ::unsetenv("CLOVE_THREADS");
-  EXPECT_GE(default_threads(), 1u);
+  EXPECT_EQ(RunEnv::from_env().threads, 0u);
 }
 
 TEST(ParallelRunner, TasksGetIsolatedTelemetryScopes) {

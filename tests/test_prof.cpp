@@ -17,6 +17,7 @@
 
 #include "harness/experiment.hpp"
 #include "harness/parallel_runner.hpp"
+#include "harness/run_env.hpp"
 #include "prof/prof.hpp"
 #include "workload/client_server.hpp"
 
@@ -205,21 +206,17 @@ TEST(ProfScope, NoProfilerMeansNoop) {
 }
 
 TEST(ProfEnv, ModeParsing) {
+  auto mode = [] { return harness::RunEnv::from_env().prof; };
   ASSERT_EQ(setenv("CLOVE_PROF", "summary", 1), 0);
-  EXPECT_EQ(mode_from_env(), Mode::kSummary);
+  EXPECT_EQ(mode(), Mode::kSummary);
   ASSERT_EQ(setenv("CLOVE_PROF", "full", 1), 0);
-  EXPECT_EQ(mode_from_env(), Mode::kFull);
+  EXPECT_EQ(mode(), Mode::kFull);
   ASSERT_EQ(setenv("CLOVE_PROF", "off", 1), 0);
-  EXPECT_EQ(mode_from_env(), Mode::kOff);
+  EXPECT_EQ(mode(), Mode::kOff);
   ASSERT_EQ(setenv("CLOVE_PROF", "bogus", 1), 0);
-  EXPECT_EQ(mode_from_env(), Mode::kOff);  // unknown reads as off
+  EXPECT_EQ(mode(), Mode::kOff);  // unknown reads as off
   unsetenv("CLOVE_PROF");
-  EXPECT_EQ(mode_from_env(), Mode::kOff);
-
-  ASSERT_EQ(setenv("CLOVE_PROF_OUT", "/tmp/pp", 1), 0);
-  EXPECT_EQ(out_dir_from_env("fb"), "/tmp/pp");
-  unsetenv("CLOVE_PROF_OUT");
-  EXPECT_EQ(out_dir_from_env("fb"), "fb");
+  EXPECT_FALSE(mode().has_value());  // unset: the binary's default
 }
 
 TEST(ProfSession, GuardInstallsAndExportsRss) {
